@@ -8,14 +8,17 @@
 //
 // Without -full, shortened runs with identical structure are used; with
 // -full the paper's 10–15 minute experiment durations and the SGP4
-// propagator are used (several minutes of wall-clock time).
+// propagator are used (several minutes of wall-clock time). It exits 1
+// when an experiment diverged or failed, and 2 on bad usage, including
+// an unknown experiment ID.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,11 +26,21 @@ import (
 )
 
 func main() {
-	full := flag.Bool("full", false, "run the paper's full experiment durations with SGP4")
-	out := flag.String("out", "results", "directory for figure/series artifacts (empty disables)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	full := fs.Bool("full", false, "run the paper's full experiment durations with SGP4")
+	out := fs.String("out", "results", "directory for figure/series artifacts (empty disables)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. F4,F11)")
+	ablations := fs.Bool("ablations", false, "also run the design-choice ablations")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	opts := experiments.Options{Full: *full, OutDir: *out}
 
@@ -58,11 +71,22 @@ func main() {
 		)
 	}
 
+	// An unknown ID is an error naming the valid ones, so a typo cannot
+	// pass as a run that reproduced nothing.
 	var filter map[string]bool
 	if *only != "" {
 		filter = map[string]bool{}
+		valid := make([]string, len(all))
+		for i, e := range all {
+			valid[i] = e.id
+		}
 		for _, id := range strings.Split(*only, ",") {
-			filter[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.Contains(valid, id) {
+				fmt.Fprintf(stderr, "experiments: unknown experiment %q (valid: %s)\n", id, strings.Join(valid, " "))
+				return 2
+			}
+			filter[id] = true
 		}
 	}
 
@@ -74,7 +98,7 @@ func main() {
 		begin := time.Now()
 		rep, err := e.run(opts)
 		if err != nil {
-			log.Printf("experiment %s failed: %v", e.id, err)
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", e.id, err)
 			failures++
 			continue
 		}
@@ -83,18 +107,19 @@ func main() {
 			status = "DIVERGED"
 			failures++
 		}
-		fmt.Printf("== %s — %s [%s, %v]\n", rep.ID, rep.Title, status, time.Since(begin).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "== %s — %s [%s, %v]\n", rep.ID, rep.Title, status, time.Since(begin).Round(time.Millisecond))
 		for _, line := range rep.Lines {
-			fmt.Printf("   %s\n", line)
+			fmt.Fprintf(stdout, "   %s\n", line)
 		}
 		for _, a := range rep.Artifacts {
-			fmt.Printf("   artifact: %s\n", a)
+			fmt.Fprintf(stdout, "   artifact: %s\n", a)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failures > 0 {
-		fmt.Printf("%d experiment(s) diverged or failed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d experiment(s) diverged or failed\n", failures)
+		return 1
 	}
-	fmt.Println("all experiments reproduced the paper's claims")
+	fmt.Fprintln(stdout, "all experiments reproduced the paper's claims")
+	return 0
 }

@@ -168,6 +168,9 @@ func DecodeRecordWire(payload []byte) (uint64, DiffRecord, error) {
 	rec.T = rd.f64()
 	rec.BaseT = rd.f64()
 	flags := rd.u8()
+	if rd.err == nil && flags&^diffWireFull != 0 {
+		return 0, DiffRecord{}, fmt.Errorf("constellation: unknown diff record flags %#02x", flags)
+	}
 	rec.Full = flags&diffWireFull != 0
 	rec.Degraded = rd.u8()
 	rec.CarriedPaths = int(rd.u32())

@@ -84,6 +84,22 @@ func TestDiffWireTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestDiffWireRejectsUnknownFlags pins the defect FuzzDecodeRecordWire
+// found: a flags byte with bits beyond "full" must not decode, since the
+// re-encoding would silently drop them.
+func TestDiffWireRejectsUnknownFlags(t *testing.T) {
+	rec := wireTestRecord()
+	payload := AppendRecordWire(nil, 5, &rec)
+	const flagsAt = 8 + 8 + 8
+	for _, flags := range []byte{0x02, 0x03, 0x80} {
+		corrupt := append([]byte(nil), payload...)
+		corrupt[flagsAt] = flags
+		if _, _, err := DecodeRecordWire(corrupt); err == nil {
+			t.Errorf("flags %#02x decoded without error", flags)
+		}
+	}
+}
+
 // TestDiffWireCorruptCount pins the allocation bound: a huge element count
 // in a short payload must be rejected, not honored with a giant make().
 func TestDiffWireCorruptCount(t *testing.T) {

@@ -46,22 +46,18 @@ type Coordinator struct {
 	mu       sync.RWMutex
 	current  *constellation.State
 	prev     *constellation.State
-	updates  int
 	lastDiff constellation.DiffStats
 	// topoVer is the generation of the most recent update whose diff was
 	// non-empty — the version of the emulated topology as clients can
 	// observe it. Empty-diff ticks advance the generation but not this.
 	topoVer uint64
-	// ring retains the most recent updates' diff records for the
-	// information service's GET /diff?since= replay and the fan-out
-	// tier's agent resyncs; its capacity is ringCap (SetDiffRetention).
-	ring    []DiffEntry
-	ringCap int
-	ringLen int
-	// ringEvictions counts retained entries overwritten by newer
-	// generations (guarded by mu); forcedResyncs counts DiffsSince calls
-	// that could not replay and sent the caller back to full state.
-	ringEvictions uint64
+	// ring is the generation log: its head is the generation (one per
+	// completed update), and it retains the most recent updates' diff
+	// records for the information service's GET /diff?since= replay and
+	// the fan-out tier's agent resyncs (see SetDiffRetention).
+	// forcedResyncs counts DiffsSince calls that could not replay and
+	// sent the caller back to full state.
+	ring          *hostlink.Log[DiffEntry]
 	forcedResyncs atomic.Uint64
 	// notify is closed (and replaced) on every completed update, waking
 	// long-poll and SSE readers blocked in WaitGeneration.
@@ -92,18 +88,13 @@ type Coordinator struct {
 
 // diffRingCap is the default diff retention: how many recent updates'
 // diff records the coordinator keeps for replay (see SetDiffRetention).
-// At the paper's 1 s update resolution this covers about a minute of
-// history; a client that falls further behind gets a resync signal and
-// refetches full state.
-const diffRingCap = 64
+const diffRingCap = hostlink.DefaultRetention
 
 // DiffEntry is one retained update in the coordinator's diff history: the
 // monotonic generation the update produced and a retainable copy of its
-// diff.
-type DiffEntry struct {
-	Generation uint64
-	Diff       constellation.DiffRecord
-}
+// diff. It is the fan-out tier's entry type, so agent resyncs replay the
+// same records /diff clients do.
+type DiffEntry = hostlink.Entry
 
 // New builds a coordinator (and its hosts, machines and network) from a
 // validated configuration. The simulation clock starts at the
@@ -120,8 +111,7 @@ func New(cfg *config.Config) (*Coordinator, error) {
 		notify:  make(chan struct{}),
 		leases:  map[*constellation.State]int{},
 		retired: map[*constellation.State]bool{},
-		ring:    make([]DiffEntry, diffRingCap),
-		ringCap: diffRingCap,
+		ring:    hostlink.NewLog[DiffEntry](diffRingCap),
 	}
 	c.net = vnet.NewNetwork(sim, stateTopology{c}, 1)
 	// Fold machine health into snapshot activity: a crashed (or stopped)
@@ -192,19 +182,17 @@ func New(cfg *config.Config) (*Coordinator, error) {
 // A larger ring lets slow /diff clients and disconnected agents catch up
 // by replay instead of full-state resync, at the cost of retained diff
 // memory. Must be called before Start; it rebuilds the fan-out tier so
-// the digest rings match the new retention.
+// its generation log matches the new retention.
 func (c *Coordinator) SetDiffRetention(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("coordinator: diff retention %d", n)
 	}
 	c.mu.Lock()
-	if c.updates > 0 {
+	if c.ring.Head() > 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("coordinator: cannot change diff retention after Start")
 	}
-	c.ring = make([]DiffEntry, n)
-	c.ringCap = n
-	c.ringLen = 0
+	c.ring = hostlink.NewLog[DiffEntry](n)
 	c.mu.Unlock()
 	return c.buildFanout(c.foOpts)
 }
@@ -227,9 +215,9 @@ func (c *Coordinator) RingStats() RingStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return RingStats{
-		Capacity:      c.ringCap,
-		Length:        c.ringLen,
-		Evictions:     c.ringEvictions,
+		Capacity:      c.ring.Cap(),
+		Length:        c.ring.Len(),
+		Evictions:     c.ring.Evictions(),
 		ForcedResyncs: c.forcedResyncs.Load(),
 	}
 }
@@ -299,7 +287,7 @@ func (c *Coordinator) LeaseState() (*constellation.State, func()) {
 func (c *Coordinator) LeaseStateGen() (*constellation.State, uint64, func()) {
 	c.mu.Lock()
 	st := c.current
-	gen := uint64(c.updates)
+	gen := c.ring.Head()
 	if st != nil {
 		c.leases[st]++
 	}
@@ -329,7 +317,7 @@ func (c *Coordinator) LeaseStateGen() (*constellation.State, uint64, func()) {
 func (c *Coordinator) Updates() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.updates
+	return int(c.ring.Head())
 }
 
 // Generation returns the monotonic snapshot generation: 0 before the first
@@ -339,7 +327,7 @@ func (c *Coordinator) Updates() int {
 func (c *Coordinator) Generation() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return uint64(c.updates)
+	return c.ring.Head()
 }
 
 // TopologyVersion returns the generation of the most recent update whose
@@ -373,31 +361,17 @@ func (c *Coordinator) UpdateChan() <-chan struct{} {
 func (c *Coordinator) DiffsSince(since uint64) (entries []DiffEntry, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	gen := uint64(c.updates)
-	if since > gen {
+	entries, ok = c.ring.Since(since)
+	if !ok {
 		c.forcedResyncs.Add(1)
-		return nil, false
 	}
-	if since == gen {
-		return nil, true
-	}
-	// gen > since >= 0 here, so at least one update ran and ringLen >= 1.
-	oldest := gen - uint64(c.ringLen) + 1
-	if since+1 < oldest {
-		c.forcedResyncs.Add(1)
-		return nil, false
-	}
-	for g := since + 1; g <= gen; g++ {
-		slot := &c.ring[g%uint64(c.ringCap)]
+	for i := range entries {
 		// Clone, don't alias: ring slots reuse their slice backing
 		// arrays across ticks (AppendRecord), and the copies escape the
 		// lock.
-		entries = append(entries, DiffEntry{
-			Generation: slot.Generation,
-			Diff:       slot.Diff.Clone(),
-		})
+		entries[i].Diff = entries[i].Diff.Clone()
 	}
-	return entries, true
+	return entries, ok
 }
 
 // LastDiff returns the statistics of the most recent update's
@@ -536,28 +510,20 @@ func (c *Coordinator) update() error {
 	old := c.prev
 	c.prev = c.current
 	c.current = st
-	c.updates++
 	c.lastDiff = d.Stats()
-	gen := uint64(c.updates)
+	// Append the new generation, retaining its diff for /diff?since=
+	// replay. The slot's record reuses its backing arrays, so
+	// steady-state ticks do not allocate for history retention.
+	e := c.ring.Append()
+	e.Generation = c.ring.Head()
+	e.Diff = d.AppendRecord(e.Diff)
 	if !d.Empty() {
-		c.topoVer = gen
-	}
-	// Retain this update's diff for /diff?since= replay. The slot's
-	// record reuses its backing arrays, so steady-state ticks do not
-	// allocate for history retention.
-	slot := &c.ring[gen%uint64(c.ringCap)]
-	if slot.Generation > 0 {
-		c.ringEvictions++
-	}
-	slot.Generation = gen
-	slot.Diff = d.AppendRecord(slot.Diff)
-	if c.ringLen < c.ringCap {
-		c.ringLen++
+		c.topoVer = e.Generation
 	}
 	// Fold the new generation into the fan-out tier's per-shard digest
 	// chains before any reader can observe it: a remote writer woken by
 	// notify must find the digest for this generation already recorded.
-	c.fo.Advance(recordOf(gen, &slot.Diff))
+	c.fo.Advance(e)
 	// Wake long-poll/SSE readers waiting for a new generation.
 	close(c.notify)
 	c.notify = make(chan struct{})

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"celestial/internal/applyengine"
-	"celestial/internal/constellation"
 	"celestial/internal/host"
 	"celestial/internal/hostlink"
 	"celestial/internal/netem"
@@ -55,7 +54,7 @@ type FanoutOptions struct {
 // be called before Start.
 func (c *Coordinator) ConfigureFanout(o FanoutOptions) error {
 	c.mu.RLock()
-	started := c.updates > 0
+	started := c.ring.Head() > 0
 	c.mu.RUnlock()
 	if started {
 		return errors.New("coordinator: cannot configure fan-out after Start")
@@ -135,7 +134,7 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		After:    c.sim.After,
 		Head:     c.Generation,
 		Updated:  c.UpdateChan,
-		Replay:   c.replayRecords,
+		Replay:   c.DiffsSince,
 		Snapshot: c.shardSnapshot,
 		Ladder:   o.Ladder,
 		Retry:    o.Retry,
@@ -148,41 +147,12 @@ func (c *Coordinator) buildFanout(o FanoutOptions) error {
 		WriteTimeout: o.WriteTimeout,
 		Token:        o.Token,
 		ApplyWindow:  o.ApplyWindow,
-	}, c.ringCap)
+	}, c.ring.Cap())
 	if err != nil {
 		return err
 	}
 	c.fo = fo
 	return nil
-}
-
-// recordOf flattens a retained diff record into the fan-out tier's view.
-// The slices are borrowed from the retention ring slot.
-func recordOf(gen uint64, d *constellation.DiffRecord) hostlink.Record {
-	return hostlink.Record{
-		Generation:   gen,
-		T:            d.T,
-		Full:         d.Full,
-		Degraded:     d.Degraded,
-		Added:        d.Added,
-		Removed:      d.Removed,
-		DelayChanged: d.DelayChanged,
-		Activated:    d.Activated,
-		Deactivated:  d.Deactivated,
-	}
-}
-
-// replayRecords adapts DiffsSince to the fan-out tier's Replay callback.
-func (c *Coordinator) replayRecords(since uint64) ([]hostlink.Record, bool) {
-	entries, ok := c.DiffsSince(since)
-	if !ok {
-		return nil, false
-	}
-	recs := make([]hostlink.Record, len(entries))
-	for i := range entries {
-		recs[i] = recordOf(entries[i].Generation, &entries[i].Diff)
-	}
-	return recs, true
 }
 
 // shardSnapshot builds a shard's full state at the current generation —

@@ -24,7 +24,6 @@ type Replica struct {
 	mu     sync.Mutex
 	active map[int32]bool
 	links  map[[2]int32]int32
-	gen    uint64
 	digest uint64
 	t      float64
 	notify chan struct{}
@@ -32,24 +31,20 @@ type Replica struct {
 	frames    int
 	snapshots int
 
-	// history retains recently applied diff frames (oldest first,
-	// contiguous generations ending at gen) for the agent's local /v1
-	// read path; a snapshot is a resync point and clears it.
-	history []*DiffFrame
+	// history retains recently applied diff frames for the agent's
+	// local /v1 read path; its head is the replica's generation, and a
+	// snapshot is a resync point that re-anchors it.
+	history *Log[*DiffFrame]
 }
-
-// replicaHistoryCap bounds the replica's retained diff frames — a small
-// replay window for local /diff followers, independent of the
-// coordinator's retention ring.
-const replicaHistoryCap = 64
 
 // NewReplica returns an empty replica at generation 0.
 func NewReplica() *Replica {
 	return &Replica{
-		active: make(map[int32]bool),
-		links:  make(map[[2]int32]int32),
-		digest: ChainSeed,
-		notify: make(chan struct{}),
+		active:  make(map[int32]bool),
+		links:   make(map[[2]int32]int32),
+		digest:  ChainSeed,
+		notify:  make(chan struct{}),
+		history: NewLog[*DiffFrame](DefaultRetention),
 	}
 }
 
@@ -76,11 +71,10 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 	for _, l := range s.Links {
 		r.links[linkKey(l.A, l.B)] = l.DelayQ
 	}
-	r.gen = s.Generation
+	r.history.Reset(s.Generation)
 	r.digest = s.Digest
 	r.t = s.T
 	r.snapshots++
-	r.history = r.history[:0]
 	r.wake()
 	return nil
 }
@@ -91,8 +85,8 @@ func (r *Replica) ApplySnapshot(s *Snapshot) error {
 func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f.Flags&FlagFull != 0 || f.Generation != r.gen+1 {
-		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, r.gen)
+	if gen := r.history.Head(); f.Flags&FlagFull != 0 || f.Generation != gen+1 {
+		return fmt.Errorf("%w: frame %d onto replica at %d", ErrGap, f.Generation, gen)
 	}
 	for _, l := range f.Added {
 		r.links[linkKey(l.A, l.B)] = l.DelayQ
@@ -109,43 +103,25 @@ func (r *Replica) ApplyDiff(f *DiffFrame) error {
 	for _, id := range f.Deactivated {
 		r.active[id] = false
 	}
-	r.gen = f.Generation
 	r.digest = FoldDiff(r.digest, f)
 	r.t = f.T
 	r.frames++
 	// The frame is retained for local /diff replay; ReadFrame hands the
 	// replica a freshly decoded value, never a reused buffer.
-	r.history = append(r.history, f)
-	if len(r.history) > replicaHistoryCap {
-		r.history = r.history[1:]
-	}
+	*r.history.Append() = f
 	r.wake()
 	return nil
 }
 
-// Diffs returns the retained diff frames in (since, gen], oldest first.
-// ok=false means since fell outside the history window (evicted, or
-// before the last snapshot resync, or ahead of the cursor) and the
+// Diffs returns the retained diff frames in (since, gen], oldest first,
+// under the generation log's cursor rules: ok=false means since is ahead
+// of the cursor, evicted, or before the last snapshot resync, and the
 // follower must resync from full state. The returned frames are shared
 // and must be treated as immutable.
 func (r *Replica) Diffs(since uint64) ([]*DiffFrame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if since == r.gen {
-		return nil, true
-	}
-	if since > r.gen || len(r.history) == 0 {
-		return nil, false
-	}
-	oldest := r.history[0].Generation
-	if since+1 < oldest {
-		return nil, false
-	}
-	out := make([]*DiffFrame, 0, r.gen-since)
-	for _, f := range r.history[since+1-oldest:] {
-		out = append(out, f)
-	}
-	return out, true
+	return r.history.Since(since)
 }
 
 // wake closes and renews the update channel; callers hold r.mu.
@@ -172,14 +148,14 @@ func (r *Replica) UpdateChan() <-chan struct{} {
 func (r *Replica) State() (gen, digest uint64, t float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen, r.digest, r.t
+	return r.history.Head(), r.digest, r.t
 }
 
 // Cursor returns the replica's applied generation and chain digest.
 func (r *Replica) Cursor() (gen, digest uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen, r.digest
+	return r.history.Head(), r.digest
 }
 
 // Counts returns the replica's tracked state sizes and how it got there.

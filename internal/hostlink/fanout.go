@@ -20,24 +20,12 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
-// Record is one retained generation as the fan-out tier consumes it: a
-// flat view of the coordinator's DiffRecord plus its generation number.
-// Slices are borrowed from the retention ring and must not be mutated.
-type Record struct {
-	Generation             uint64
-	T                      float64
-	Full                   bool
-	Degraded               uint8
-	Added, Removed         []constellation.LinkDelta
-	DelayChanged           []constellation.LinkDelta
-	Activated, Deactivated []int32
-}
-
-// empty reports whether the record carries no change at emulation
-// granularity (a Full record counts as changed).
-func (r *Record) empty() bool {
-	return !r.Full && len(r.Added) == 0 && len(r.Removed) == 0 &&
-		len(r.DelayChanged) == 0 && len(r.Activated) == 0 && len(r.Deactivated) == 0
+// Entry is one retained generation: its number and its diff record, as
+// the producer's generation log holds it. The fan-out tier reads entries
+// in place and never mutates them.
+type Entry struct {
+	Generation uint64
+	Diff       constellation.DiffRecord
 }
 
 // Applier consumes a shard's frame stream. The loopback applier translates
@@ -69,14 +57,14 @@ type Config struct {
 	After func(d time.Duration, fn func()) error
 
 	// Head returns the newest generation; Updated returns a channel
-	// closed when it advances; Replay returns the retained records
-	// after a cursor (nil, false when the ring has evicted it);
+	// closed when it advances; Replay returns the retained entries
+	// after a cursor (nil, false when the log has evicted it);
 	// SnapshotAt builds a shard's full state at head. These mirror the
 	// /diff information service's contract so agents resync exactly
 	// like diff clients.
 	Head     func() uint64
 	Updated  func() <-chan struct{}
-	Replay   func(since uint64) ([]Record, bool)
+	Replay   func(since uint64) ([]Entry, bool)
 	Snapshot func(shard int) (*Snapshot, error)
 
 	// Ladder configures the per-shard follower degradation ladder.
@@ -232,19 +220,15 @@ type Fanout struct {
 	// and the shard ladder's rung.
 	level supervise.Level
 
-	// mu guards the digest rings, head, and remote bookkeeping — state
+	// mu guards the generation log and remote bookkeeping — state
 	// shared with remote writer goroutines. Loopback delivery state is
 	// owned by the simulation goroutine and needs no lock.
 	mu sync.Mutex
-	// digests[shard] is a ring of (generation, chain digest) entries
-	// parallel to the coordinator's diff retention ring. results[shard]
-	// is the commit protocol's parallel ring: the loopback engine's
-	// result digest and effective policy flags per generation, the value
-	// a remote agent's Applied frame is verified against.
-	digests   [][]digestEntry
-	results   [][]resultEntry
-	retention int
-	head      uint64
+	// gens[shard] parallels the producer's generation log with the
+	// shard's chain digest and loopback commit result per generation
+	// (see shardGen). Every shard's log has the same head: the newest
+	// generation.
+	gens []*Log[shardGen]
 
 	remotes   map[int]*remote
 	ackNotify chan struct{}
@@ -266,17 +250,15 @@ type Fanout struct {
 	statsSnap []ShardStats
 }
 
-type digestEntry struct {
-	gen    uint64
-	digest uint64
-}
-
-// resultEntry is one generation's loopback apply result: the engine's
-// commit digest and the effective policy flags it executed. flags==0
-// distinguishes "applied with no work" from an empty slot (gen match).
-type resultEntry struct {
-	gen    uint64
-	digest uint64
+// shardGen is one shard's coordinator-side record of one generation: the
+// chain digest after folding it, and the loopback engine's commit result
+// — the digest a remote agent's Applied frame is verified against, and
+// the effective policy flags it executed. Every recorded result carries
+// at least one policy flag, so flags==0 means none was recorded (the
+// shard had nothing to apply, or has not reached the generation yet).
+type shardGen struct {
+	chain  uint64
+	result uint64
 	flags  uint8
 }
 
@@ -291,8 +273,8 @@ func splitmix(seed int64, idx uint64) int64 {
 
 var errFrameDropped = errors.New("hostlink: injected frame drop")
 
-// New builds a Fanout. Retention must match the producer's diff retention
-// ring capacity.
+// New builds a Fanout. Retention must match the capacity of the
+// producer's generation log.
 func New(cfg Config, retention int) (*Fanout, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("hostlink: %d shards", cfg.Shards)
@@ -319,9 +301,7 @@ func New(cfg Config, retention int) (*Fanout, error) {
 	fo := &Fanout{
 		cfg:           cfg,
 		shards:        make([]*shard, cfg.Shards),
-		retention:     retention,
-		digests:       make([][]digestEntry, cfg.Shards),
-		results:       make([][]resultEntry, cfg.Shards),
+		gens:          make([]*Log[shardGen], cfg.Shards),
 		remotes:       make(map[int]*remote),
 		ackNotify:     make(chan struct{}),
 		remoteOwner:   make([]int, cfg.Shards),
@@ -356,9 +336,8 @@ func New(cfg Config, retention int) (*Fanout, error) {
 		if i < len(cfg.Machines) {
 			s.stats.Machines = cfg.Machines[i]
 		}
-		fo.digests[i] = make([]digestEntry, retention)
-		fo.results[i] = make([]resultEntry, retention)
 		fo.shards[i] = s
+		fo.gens[i] = NewLog[shardGen](retention)
 	}
 	return fo, nil
 }
@@ -370,44 +349,50 @@ func (fo *Fanout) Shards() int { return fo.cfg.Shards }
 
 // Advance folds one new generation into every shard's digest chain and
 // builds the per-shard scratch frames. The producer must call it for
-// every generation, in order, before waking replay readers — the digest
-// ring is what remote writers verify acks against.
-func (fo *Fanout) Advance(rec Record) {
+// every generation, in order, before waking replay readers — the
+// generation log is what remote writers verify acks against.
+func (fo *Fanout) Advance(e *Entry) {
 	for _, s := range fo.shards {
-		fo.buildFrameInto(&s.scratch, s.id, &rec)
+		fo.buildFrameInto(&s.scratch, s.id, e)
 		s.chain = FoldDiff(s.chain, &s.scratch)
 	}
 	fo.mu.Lock()
-	fo.head = rec.Generation
 	for _, s := range fo.shards {
-		fo.digests[s.id][rec.Generation%uint64(fo.retention)] = digestEntry{rec.Generation, s.chain}
+		*fo.gens[s.id].Append() = shardGen{chain: s.chain}
 	}
 	fo.mu.Unlock()
 }
 
-// digestAt returns shard's chain digest at gen, if the digest ring still
-// holds it.
-func (fo *Fanout) digestAt(shard int, gen uint64) (uint64, bool) {
+// headLocked returns the newest generation. Callers hold fo.mu.
+func (fo *Fanout) headLocked() uint64 { return fo.gens[0].Head() }
+
+// genAt returns a copy of shard's record of gen, if the log still holds
+// it.
+func (fo *Fanout) genAt(shard int, gen uint64) (shardGen, bool) {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
-	e := fo.digests[shard][gen%uint64(fo.retention)]
-	return e.digest, e.gen == gen && gen > 0
+	g, ok := fo.gens[shard].At(gen)
+	if !ok {
+		return shardGen{}, false
+	}
+	return *g, true
 }
 
-// buildFrameInto fills dst with rec's content scoped to one shard,
+// buildFrameInto fills dst with e's content scoped to one shard,
 // reusing dst's slices. Link deltas are scoped by their source endpoint
 // (the side whose host programs the shaper); activity flips by ownership.
 // FlagChanged is global — a link changing anywhere can move any path's
 // latency — while FlagActivity is per-shard.
-func (fo *Fanout) buildFrameInto(dst *DiffFrame, shard int, rec *Record) {
-	dst.Generation = rec.Generation
+func (fo *Fanout) buildFrameInto(dst *DiffFrame, shard int, e *Entry) {
+	rec := &e.Diff
+	dst.Generation = e.Generation
 	dst.T = rec.T
 	dst.Degraded = rec.Degraded
 	dst.Flags = 0
 	if rec.Full {
 		dst.Flags |= FlagFull
 	}
-	if !rec.empty() {
+	if !rec.Empty() {
 		dst.Flags |= FlagChanged
 	}
 	dst.Added = appendShardLinks(dst.Added[:0], rec.Added, fo.cfg.ShardOf, shard)
@@ -596,14 +581,14 @@ func (fo *Fanout) deliver(s *shard, f *DiffFrame) {
 // retained generations after its cursor, or adopt a full snapshot when
 // the ring has evicted the cursor.
 func (fo *Fanout) resync(s *shard) {
-	recs, ok := fo.cfg.Replay(s.applied)
+	entries, ok := fo.cfg.Replay(s.applied)
 	if ok {
 		s.stats.Resyncs++
 		var frame DiffFrame
-		for i := range recs {
-			fo.buildFrameInto(&frame, s.id, &recs[i])
+		for i := range entries {
+			fo.buildFrameInto(&frame, s.id, &entries[i])
 			fo.applyFrame(s, &frame)
-			s.applied = recs[i].Generation
+			s.applied = entries[i].Generation
 			s.stats.Replayed++
 		}
 		return
@@ -617,8 +602,8 @@ func (fo *Fanout) resync(s *shard) {
 		s.lastErr = err
 		return
 	}
-	if d, ok := fo.digestAt(s.id, snap.Generation); ok {
-		snap.Digest = d
+	if g, ok := fo.genAt(s.id, snap.Generation); ok {
+		snap.Digest = g.chain
 	}
 	if err := s.applier.ApplySnapshot(snap); err != nil {
 		s.stats.ApplyErrors++
@@ -633,8 +618,8 @@ func (fo *Fanout) resync(s *shard) {
 }
 
 // recordResult stores one generation's loopback apply result in the
-// commit-protocol ring — the digest a remote agent's Applied frame for
-// that generation must match.
+// generation log — the digest a remote agent's Applied frame for that
+// generation must match.
 func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 	ra, ok := s.applier.(ResultApplier)
 	if !ok {
@@ -642,17 +627,10 @@ func (fo *Fanout) recordResult(s *shard, gen uint64, flags uint8) {
 	}
 	res := ra.LastResult()
 	fo.mu.Lock()
-	fo.results[s.id][gen%uint64(fo.retention)] = resultEntry{gen: gen, digest: res.Digest, flags: flags}
+	if g, ok := fo.gens[s.id].At(gen); ok {
+		g.result, g.flags = res.Digest, flags
+	}
 	fo.mu.Unlock()
-}
-
-// resultAt returns shard's commit-protocol result at gen, if the ring
-// still holds it.
-func (fo *Fanout) resultAt(shard int, gen uint64) (resultEntry, bool) {
-	fo.mu.Lock()
-	defer fo.mu.Unlock()
-	e := fo.results[shard][gen%uint64(fo.retention)]
-	return e, e.gen == gen && gen > 0
 }
 
 // applyFrame runs the per-shard degradation policy — the sharded version

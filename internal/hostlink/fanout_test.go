@@ -58,7 +58,7 @@ func (fs *fakeSim) advance(to time.Time) {
 // (remote writer goroutines).
 type memSource struct {
 	mu        sync.Mutex
-	recs      []Record // recs[g-1] holds generation g
+	recs      []Entry // recs[g-1] holds generation g
 	head      uint64
 	retention int
 	notify    chan struct{}
@@ -68,7 +68,7 @@ func newMemSource(retention int) *memSource {
 	return &memSource{retention: retention, notify: make(chan struct{})}
 }
 
-func (m *memSource) push(rec Record) {
+func (m *memSource) push(rec Entry) {
 	m.mu.Lock()
 	m.recs = append(m.recs, rec)
 	m.head = rec.Generation
@@ -89,7 +89,7 @@ func (m *memSource) Updated() <-chan struct{} {
 	return m.notify
 }
 
-func (m *memSource) Replay(since uint64) ([]Record, bool) {
+func (m *memSource) Replay(since uint64) ([]Entry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if since > m.head {
@@ -105,7 +105,7 @@ func (m *memSource) Replay(since uint64) ([]Record, bool) {
 	if since+1 < oldest {
 		return nil, false
 	}
-	return append([]Record(nil), m.recs[since:m.head]...), true
+	return append([]Entry(nil), m.recs[since:m.head]...), true
 }
 
 func (m *memSource) Snapshot(shard int) (*Snapshot, error) {
@@ -184,15 +184,15 @@ func newHarness(t *testing.T, shards, retention int, mod func(*Config)) *harness
 // record fabricates generation g: node g%testNodes flips active and one
 // link delta moves, so every shard sees traffic over time. Generation 1
 // is Full, like a real run's first diff.
-func (h *harness) record(g uint64) Record {
-	rec := Record{Generation: g, T: float64(g) * h.res.Seconds()}
+func (h *harness) record(g uint64) Entry {
+	rec := Entry{Generation: g, Diff: constellation.DiffRecord{T: float64(g) * h.res.Seconds()}}
 	if g == 1 {
-		rec.Full = true
+		rec.Diff.Full = true
 		return rec
 	}
 	n := int32(g % testNodes)
-	rec.Activated = []int32{n}
-	rec.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
+	rec.Diff.Activated = []int32{n}
+	rec.Diff.Added = []constellation.LinkDelta{{A: int(n), B: int((n + 1) % testNodes), NewQ: int32(g)}}
 	return rec
 }
 
@@ -203,7 +203,7 @@ func (h *harness) tick(level supervise.Level) {
 	h.fs.advance(time.Unix(0, 0).Add(time.Duration(h.gen) * h.res))
 	rec := h.record(h.gen)
 	h.src.push(rec)
-	h.fo.Advance(rec)
+	h.fo.Advance(&rec)
 	if err := h.fo.Distribute(level); err != nil {
 		panic(err)
 	}

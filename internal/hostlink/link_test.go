@@ -17,7 +17,7 @@ type tcpHarness struct {
 	*harness
 	t      *testing.T
 	ln     net.Listener
-	agents map[int]*agentProc
+	agents []*agentProc
 	mu     sync.Mutex
 }
 
@@ -25,6 +25,8 @@ type agentProc struct {
 	agent  *Agent
 	cancel context.CancelFunc
 	done   chan error
+	// exited is closed once Run returned, after its last Logf call.
+	exited chan struct{}
 }
 
 func newTCPHarness(t *testing.T, shards, retention int) *tcpHarness {
@@ -37,7 +39,7 @@ func newTCPHarness(t *testing.T, shards, retention int) *tcpHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := &tcpHarness{harness: h, t: t, ln: ln, agents: make(map[int]*agentProc)}
+	th := &tcpHarness{harness: h, t: t, ln: ln}
 	go th.fo.Serve(ln)
 	t.Cleanup(func() {
 		th.fo.Close()
@@ -46,6 +48,11 @@ func newTCPHarness(t *testing.T, shards, retention int) *tcpHarness {
 		defer th.mu.Unlock()
 		for _, p := range th.agents {
 			p.cancel()
+		}
+		// Agents log through t.Logf; wait for every one of them to
+		// return so none logs after the test has completed.
+		for _, p := range th.agents {
+			<-p.exited
 		}
 	})
 	return th
@@ -63,10 +70,13 @@ func (th *tcpHarness) startAgent(id int, r *Replica) *agentProc {
 		ReconnectWait: 20 * time.Millisecond,
 		Logf:          th.t.Logf,
 	}
-	p := &agentProc{agent: a, cancel: cancel, done: make(chan error, 1)}
-	go func() { p.done <- a.Run(ctx) }()
+	p := &agentProc{agent: a, cancel: cancel, done: make(chan error, 1), exited: make(chan struct{})}
+	go func() {
+		defer close(p.exited)
+		p.done <- a.Run(ctx)
+	}()
 	th.mu.Lock()
-	th.agents[id] = p
+	th.agents = append(th.agents, p)
 	th.mu.Unlock()
 	return p
 }

@@ -46,7 +46,7 @@ type stream struct {
 	shard int
 
 	// Writer-owned: the replay cursor, its digest chain, and whether the
-	// Hello-resumed cursor was validated against the digest ring.
+	// Hello-resumed cursor was validated against the generation log.
 	cursor    uint64
 	chain     uint64
 	validated bool
@@ -177,7 +177,7 @@ func (fo *Fanout) serveConn(conn net.Conn) {
 		fo.remoteOwner[agent] = agent
 		fo.remoteEpoch[agent]++
 	}
-	head := fo.head
+	head := fo.headLocked()
 	fo.mu.Unlock()
 	fo.wakeAcks()
 
@@ -292,8 +292,7 @@ func (fo *Fanout) noteAck(r *remote, a *Ack) {
 	if st := r.streams[shard]; st != nil {
 		st.acked = a.Generation
 		st.ackDigest = a.Digest
-		e := fo.digests[shard][a.Generation%uint64(fo.retention)]
-		if e.gen == a.Generation && e.digest != a.Digest {
+		if g, ok := fo.gens[shard].At(a.Generation); ok && g.chain != a.Digest {
 			st.digestMismatch++
 			st.forceSnap = true
 		}
@@ -320,8 +319,8 @@ func (fo *Fanout) noteApplied(r *remote, a *Applied) {
 		fo.mu.Unlock()
 		return
 	}
-	e := fo.results[shard][a.Generation%uint64(fo.retention)]
-	if e.gen != a.Generation || e.digest != a.Digest {
+	g, ok := fo.gens[shard].At(a.Generation)
+	if !ok || g.flags == 0 || g.result != a.Digest {
 		fo.applyMismatch[shard]++
 		fo.fallback[shard]++
 	}
@@ -331,8 +330,8 @@ func (fo *Fanout) noteApplied(r *remote, a *Applied) {
 	st.applies++
 	st.attempts += int(a.Attempts)
 	st.retried += int(a.Retried)
-	if d := fo.digests[shard][a.Generation%uint64(fo.retention)]; d.gen == a.Generation {
-		commit = d.digest
+	if ok {
+		commit = g.chain
 	}
 	fo.mu.Unlock()
 	fo.wakeAcks()
@@ -359,7 +358,7 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 			st = &stream{shard: s, chain: ChainSeed, announced: ^uint64(0)}
 			if s == r.agent && !r.helloUsed {
 				// Resume the agent's own replica from its Hello cursor;
-				// validated against the digest ring on the first pass.
+				// validated against the generation log on the first pass.
 				st.cursor, st.chain = hello.Cursor, hello.Digest
 				r.helloUsed = true
 			}
@@ -372,7 +371,7 @@ func (fo *Fanout) syncStreams(r *remote, hello *Hello) ([]*stream, uint64) {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].shard < out[j].shard })
-	return out, fo.head
+	return out, fo.headLocked()
 }
 
 // writeLoop streams frames to one agent: per owned shard,
@@ -452,7 +451,7 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 		progress = true
 	}
 	if !st.validated {
-		if d, ok := fo.digestAt(st.shard, st.cursor); st.cursor == 0 || !ok || d != st.chain {
+		if g, ok := fo.genAt(st.shard, st.cursor); st.cursor == 0 || !ok || g.chain != st.chain {
 			st.cursor = 0
 		}
 		st.validated = true
@@ -484,7 +483,7 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 	}
 
 	if st.cursor > 0 && st.cursor < head {
-		recs, ok := fo.cfg.Replay(st.cursor)
+		entries, ok := fo.cfg.Replay(st.cursor)
 		if !ok {
 			// The ring evicted the cursor while we slept: forced full
 			// resync on the next pass.
@@ -494,8 +493,8 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 			return true, buf, nil
 		}
 		var frame DiffFrame
-		for i := range recs {
-			fo.buildFrameInto(&frame, st.shard, &recs[i])
+		for i := range entries {
+			fo.buildFrameInto(&frame, st.shard, &entries[i])
 			frame.Agent = int32(st.shard)
 			st.chain = FoldDiff(st.chain, &frame)
 			r.wmu.Lock()
@@ -505,8 +504,8 @@ func (fo *Fanout) serveStream(r *remote, st *stream, head uint64, buf []byte) (b
 			if err != nil {
 				return progress, buf, err
 			}
-			st.cursor = recs[i].Generation
-			if buf, err = fo.propose(r, st, recs[i].Generation, buf); err != nil {
+			st.cursor = entries[i].Generation
+			if buf, err = fo.propose(r, st, entries[i].Generation, buf); err != nil {
 				return progress, buf, err
 			}
 		}
@@ -529,7 +528,7 @@ func (fo *Fanout) propose(r *remote, st *stream, gen uint64, buf []byte) ([]byte
 	if !r.apply {
 		return buf, nil
 	}
-	e, ok := fo.resultAt(st.shard, gen)
+	e, ok := fo.genAt(st.shard, gen)
 	if !ok || e.flags == 0 {
 		return buf, nil
 	}
@@ -577,17 +576,17 @@ func (fo *Fanout) awaitWindow(r *remote, st *stream) {
 }
 
 // sendSnapshot ships a full shard snapshot at head and advances the
-// stream cursor. Returns false (without error) when the digest ring has
-// not caught up yet and the caller should retry after the next update.
+// stream cursor. Returns false (without error) when the generation log
+// has not caught up yet and the caller should retry after the next update.
 func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte, error) {
 	snap, err := fo.cfg.Snapshot(st.shard)
 	if err != nil {
 		return false, buf, err
 	}
-	d, ok := fo.digestAt(st.shard, snap.Generation)
+	g, ok := fo.genAt(st.shard, snap.Generation)
 	if !ok {
-		// The digest ring has not caught up with this generation yet (or
-		// already evicted it); retry after the next update.
+		// The generation log has not caught up with this generation yet
+		// (or already evicted it); retry after the next update.
 		select {
 		case <-r.done:
 			return false, buf, errors.New("hostlink: detached")
@@ -598,7 +597,7 @@ func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte,
 		return false, buf, nil
 	}
 	snap.Agent = int32(st.shard)
-	snap.Digest = d
+	snap.Digest = g.chain
 	r.wmu.Lock()
 	_ = r.conn.SetWriteDeadline(time.Now().Add(fo.cfg.WriteTimeout))
 	buf, err = WriteFrame(r.conn, buf, snap)
@@ -610,7 +609,7 @@ func (fo *Fanout) sendSnapshot(r *remote, st *stream, buf []byte) (bool, []byte,
 	st.snapshots++
 	st.sent = snap.Generation
 	fo.mu.Unlock()
-	st.cursor, st.chain = snap.Generation, d
+	st.cursor, st.chain = snap.Generation, g.chain
 	return true, buf, nil
 }
 
@@ -641,7 +640,7 @@ func (fo *Fanout) remoteLagLocked() bool {
 			continue
 		}
 		st := r.streams[s]
-		if st == nil || st.acked < fo.head || st.resolved < st.proposed {
+		if st == nil || st.acked < fo.headLocked() || st.resolved < st.proposed {
 			return true
 		}
 	}
@@ -683,6 +682,7 @@ func (fo *Fanout) VerifyRemotes() error {
 	fo.mu.Lock()
 	defer fo.mu.Unlock()
 	var errs []error
+	head := fo.headLocked()
 	for s := 0; s < fo.cfg.Shards; s++ {
 		owner := fo.remoteOwner[s]
 		r, ok := fo.remotes[owner]
@@ -694,14 +694,13 @@ func (fo *Fanout) VerifyRemotes() error {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d has no stream on agent %d", s, owner))
 			continue
 		}
-		if st.acked != fo.head {
-			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d acked generation %d, head is %d", s, owner, st.acked, fo.head))
+		if st.acked != head {
+			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d acked generation %d, head is %d", s, owner, st.acked, head))
 			continue
 		}
-		e := fo.digests[s][fo.head%uint64(fo.retention)]
-		if e.gen == fo.head && e.digest != st.ackDigest {
+		if g, ok := fo.gens[s].At(head); ok && g.chain != st.ackDigest {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d digest %016x diverged from coordinator %016x at generation %d",
-				s, st.ackDigest, e.digest, fo.head))
+				s, st.ackDigest, g.chain, head))
 		}
 		if st.resolved < st.proposed {
 			errs = append(errs, fmt.Errorf("hostlink: shard %d on agent %d resolved generation %d behind proposal %d", s, owner, st.resolved, st.proposed))

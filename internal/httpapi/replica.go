@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"sync"
-
 	"celestial/internal/constellation"
 	"celestial/internal/hostlink"
 )
@@ -19,14 +17,12 @@ import (
 type ReplicaSource struct {
 	rep   *hostlink.Replica
 	shard int
-
-	mu     sync.Mutex
-	frames map[uint64]*Frame
+	fl    *frameLog
 }
 
 // NewReplicaSource wraps one shard replica as a route-table Source.
 func NewReplicaSource(shard int, rep *hostlink.Replica) *ReplicaSource {
-	return &ReplicaSource{rep: rep, shard: shard, frames: make(map[uint64]*Frame)}
+	return &ReplicaSource{rep: rep, shard: shard, fl: newFrameLog(hostlink.DefaultRetention)}
 }
 
 // Generation implements Source: the replica's applied cursor.
@@ -78,36 +74,39 @@ func (rs *ReplicaSource) notTracked() ([]byte, int) {
 
 // Frames implements Source over the replica's retained diff history.
 // Each frame is converted and serialized once and shared by every
-// subscriber, like the coordinator's frame cache.
+// subscriber, like the coordinator's.
 func (rs *ReplicaSource) Frames(since uint64) ([]*Frame, bool) {
+	return rs.fl.frames(since, rs)
+}
+
+// replay builds the frames of the replica's retained diffs after since.
+func (rs *ReplicaSource) replay(since uint64) ([]*Frame, bool) {
 	diffs, ok := rs.rep.Diffs(since)
-	if !ok {
+	return wireFrames(diffs), ok
+}
+
+// extend replays from the generation before head: a snapshot resync
+// restarts the replica's window, and one that restarted it at head is
+// noticed only by the replica refusing head-1.
+func (rs *ReplicaSource) extend(head uint64) ([]*Frame, bool) {
+	if head == 0 {
+		return rs.replay(0)
+	}
+	diffs, ok := rs.rep.Diffs(head - 1)
+	if !ok || len(diffs) == 0 {
 		return nil, false
 	}
-	if len(diffs) == 0 {
-		return nil, true
+	return wireFrames(diffs[1:]), true
+}
+
+// wireFrames builds the shared frames of shard-scoped wire diffs.
+func wireFrames(diffs []*hostlink.DiffFrame) []*Frame {
+	frames := make([]*Frame, len(diffs))
+	for i, d := range diffs {
+		rec := recordOfWire(d)
+		frames[i] = BuildFrame(d.Generation, &rec)
 	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make([]*Frame, 0, len(diffs))
-	for _, d := range diffs {
-		f := rs.frames[d.Generation]
-		if f == nil {
-			rec := recordOfWire(d)
-			f = BuildFrame(d.Generation, &rec)
-			rs.frames[d.Generation] = f
-		}
-		out = append(out, f)
-	}
-	// Prune below the replica's replay window: a cursor older than that
-	// forces a resync, so those frames can never be requested again.
-	oldest := diffs[0].Generation
-	for g := range rs.frames {
-		if g < oldest {
-			delete(rs.frames, g)
-		}
-	}
-	return out, true
+	return frames
 }
 
 // recordOfWire lifts a shard-scoped wire frame back into the diff-record

@@ -112,3 +112,42 @@ func TestReplicaSourceServesV1(t *testing.T) {
 		t.Errorf("pre-snapshot cursor did not force a resync: %s", rec.Body.Bytes())
 	}
 }
+
+// TestReplicaSourceFollowsSnapshotResync pins that the source's frame log
+// answers every cursor as the replica's own history does, including after
+// a snapshot resync at the generation the log already caught up to — the
+// one restart the generation number alone cannot reveal.
+func TestReplicaSourceFollowsSnapshotResync(t *testing.T) {
+	rep := hostlink.NewReplica()
+	src := NewReplicaSource(2, rep)
+	feedReplica(t, rep, 5)
+	if frames, ok := src.Frames(1); !ok || len(frames) != 4 {
+		t.Fatalf("Frames(1) = %d frames, ok=%v; want generations 2..5", len(frames), ok)
+	}
+	check := func(since uint64) {
+		t.Helper()
+		frames, ok := src.Frames(since)
+		diffs, wantOK := rep.Diffs(since)
+		if ok != wantOK || len(frames) != len(diffs) {
+			t.Fatalf("Frames(%d) = %d frames, ok=%v; replica replays %d, ok=%v",
+				since, len(frames), ok, len(diffs), wantOK)
+		}
+		for i, f := range frames {
+			if f.Generation != diffs[i].Generation {
+				t.Fatalf("Frames(%d)[%d] is generation %d, replica's is %d", since, i, f.Generation, diffs[i].Generation)
+			}
+		}
+	}
+	if err := rep.ApplySnapshot(&hostlink.Snapshot{Agent: 2, Generation: 5, Digest: 0xdef, T: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for since := uint64(0); since <= 6; since++ {
+		check(since)
+	}
+	if err := rep.ApplyDiff(&hostlink.DiffFrame{Agent: 2, Generation: 6, T: 12, Activated: []int32{11}}); err != nil {
+		t.Fatal(err)
+	}
+	for since := uint64(0); since <= 7; since++ {
+		check(since)
+	}
+}

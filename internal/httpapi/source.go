@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"celestial/internal/constellation"
 	"celestial/internal/coordinator"
 	"celestial/internal/geom"
+	"celestial/internal/hostlink"
 	"celestial/internal/netem"
 	"celestial/internal/vnet"
 )
@@ -55,18 +55,16 @@ func errDoc(status int, format string, args ...any) ([]byte, int) {
 
 // CoordinatorSource adapts a coordinator to the Source interface: the
 // document builders that used to live in the HTTP handlers, plus the
-// frame cache that serializes each retained diff once for all of its
+// frame log that serializes each retained diff once for all of its
 // subscribers.
 type CoordinatorSource struct {
 	c  *coordinator.Coordinator
-	fc frameCache
+	fl *frameLog
 }
 
 // NewCoordinatorSource wraps a coordinator as a route-table Source.
 func NewCoordinatorSource(c *coordinator.Coordinator) *CoordinatorSource {
-	cs := &CoordinatorSource{c: c}
-	cs.fc.init(c.RingStats().Capacity)
-	return cs
+	return &CoordinatorSource{c: c, fl: newFrameLog(c.RingStats().Capacity)}
 }
 
 // Coordinator returns the wrapped coordinator.
@@ -274,107 +272,110 @@ func (cs *CoordinatorSource) PathDoc(source, target string) ([]byte, int) {
 	return marshalDoc(resp), 200
 }
 
-// Frames returns the shared frames after since, advancing the frame cache
-// to the coordinator's head first. This is where the per-subscriber
-// serialization used to happen: now each retained generation is converted
-// and serialized exactly once, and every long-poll, SSE and binary-stream
-// subscriber shares the same buffers.
+// Frames returns the shared frames after since from the source's frame
+// log, which mirrors the coordinator's diff retention.
 func (cs *CoordinatorSource) Frames(since uint64) ([]*Frame, bool) {
-	fc := &cs.fc
-	if cs.c.Generation() > fc.built.Load() {
-		cs.advanceFrames()
-	}
-	fc.mu.RLock()
-	defer fc.mu.RUnlock()
-	head := fc.built.Load()
-	switch {
-	case since > head:
-		// Count the forced resync on the coordinator's ring stats, as a
-		// direct DiffsSince miss would.
-		cs.c.DiffsSince(since)
-		return nil, false
-	case since == head:
-		return nil, true
-	case since+1 < fc.oldest:
-		cs.c.DiffsSince(since)
-		return nil, false
-	}
-	out := make([]*Frame, 0, head-since)
-	for g := since + 1; g <= head; g++ {
-		f, ok := fc.frames[g]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, f)
-	}
-	return out, true
+	return cs.fl.frames(since, cs)
 }
 
-// advanceFrames builds the frames of every generation the coordinator has
-// retained past the cache's cursor. When the cursor itself fell off the
-// retention ring (no /diff consumer for longer than the ring retains) the
-// cache rebases onto the ring's current window instead of failing — a
-// quiet spell with no subscribers must not force later clients to resync.
-func (cs *CoordinatorSource) advanceFrames() {
-	fc := &cs.fc
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	for tries := 0; tries < 8 && cs.c.Generation() > fc.built.Load(); tries++ {
-		built := fc.built.Load()
-		entries, ok := cs.c.DiffsSince(built)
-		if !ok {
-			// Rebase onto the oldest generation the ring still replays.
-			head := cs.c.Generation()
-			st := cs.c.RingStats()
-			if uint64(st.Length) > head {
-				return
-			}
-			rebase := head - uint64(st.Length)
-			if rebase <= built {
-				// A tick raced between the reads; retry.
-				continue
-			}
-			clear(fc.frames)
-			fc.built.Store(rebase)
-			fc.oldest = rebase + 1
-			continue
-		}
-		for i := range entries {
-			e := &entries[i]
-			if e.Generation <= fc.built.Load() {
-				continue
-			}
-			if len(fc.frames) == 0 {
-				fc.oldest = e.Generation
-			}
-			fc.frames[e.Generation] = BuildFrame(e.Generation, &e.Diff)
-			fc.built.Store(e.Generation)
-			for fc.built.Load()-fc.oldest+1 > uint64(fc.cap) {
-				delete(fc.frames, fc.oldest)
-				fc.oldest++
-			}
-		}
+// replay builds the frames of the coordinator's retained generations
+// after since. A cursor outside the retention window counts as a forced
+// resync in the coordinator's ring stats, as a direct DiffsSince miss
+// does.
+func (cs *CoordinatorSource) replay(since uint64) ([]*Frame, bool) {
+	entries, ok := cs.c.DiffsSince(since)
+	frames := make([]*Frame, len(entries))
+	for i := range entries {
+		frames[i] = BuildFrame(entries[i].Generation, &entries[i].Diff)
 	}
+	return frames, ok
 }
 
-// frameCache retains the shared serialized frames of recent generations,
-// mirroring the coordinator's diff retention ring: same capacity, same
-// replay window, advanced lazily on the first Frames call after a tick.
-// built is atomic so the read path can skip the advance without taking
-// the write lock.
-type frameCache struct {
-	mu     sync.RWMutex
-	built  atomic.Uint64
-	oldest uint64
-	cap    int
-	frames map[uint64]*Frame
+// extend is replay: the coordinator's window never restarts under the
+// frame log.
+func (cs *CoordinatorSource) extend(head uint64) ([]*Frame, bool) { return cs.replay(head) }
+
+// frameLog is a Source's /diff window: the shared frames of the
+// generations its upstream log retains, each converted and serialized
+// once and shared by every long-poll, SSE and binary subscriber. It is
+// advanced lazily — the first call after the upstream changed catches it
+// up — and a cursor outside it is referred to the upstream, so every
+// cursor gets the upstream's answer.
+type frameLog struct {
+	mu  sync.RWMutex
+	log *hostlink.Log[*Frame]
+	// synced is the upstream's update channel as of the last catch-up;
+	// a different channel means the upstream changed since.
+	synced <-chan struct{}
 }
 
-func (fc *frameCache) init(capacity int) {
-	if capacity < 1 {
-		capacity = 1
+// frameUpstream is the generation log a frameLog mirrors.
+type frameUpstream interface {
+	UpdateChan() <-chan struct{}
+	Generation() uint64
+	// replay builds the frames of the upstream generations after since;
+	// ok=false when since is outside the upstream's window.
+	replay(since uint64) ([]*Frame, bool)
+	// extend is replay from the frame log's head, for catching it up;
+	// it must refuse a head the upstream's window restarted at or past.
+	extend(head uint64) ([]*Frame, bool)
+}
+
+func newFrameLog(capacity int) *frameLog {
+	return &frameLog{log: hostlink.NewLog[*Frame](capacity)}
+}
+
+// frames returns the shared frames after a subscriber's cursor, oldest
+// first, or ok=false when the cursor is outside the upstream's window
+// (ahead of its head, or evicted) and the subscriber must resync.
+func (fl *frameLog) frames(since uint64, up frameUpstream) ([]*Frame, bool) {
+	fl.catchUp(up)
+	fl.mu.RLock()
+	frames, ok := fl.log.Since(since)
+	fl.mu.RUnlock()
+	if ok {
+		return frames, true
 	}
-	fc.cap = capacity
-	fc.oldest = 1
-	fc.frames = make(map[uint64]*Frame, capacity)
+	// The upstream decides a cursor outside the log: it refuses the
+	// cursor, or replays it and the log restarts from there.
+	frames, ok = up.replay(since)
+	if ok {
+		fl.mu.Lock()
+		fl.log.Reset(since)
+		for _, f := range frames {
+			*fl.log.Append() = f
+		}
+		fl.synced = nil // catch up from the restarted head next time
+		fl.mu.Unlock()
+	}
+	return frames, ok
+}
+
+// catchUp appends the upstream's generations past the log's head. When
+// the upstream no longer replays the head — evicted during a spell
+// without subscribers, or the upstream's window restarted — the log
+// restarts empty at the upstream's head.
+func (fl *frameLog) catchUp(up frameUpstream) {
+	ch := up.UpdateChan()
+	fl.mu.RLock()
+	current := fl.synced == ch
+	fl.mu.RUnlock()
+	if current {
+		return
+	}
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if fl.synced == ch {
+		return
+	}
+	fl.synced = ch
+	head := up.Generation()
+	frames, ok := up.extend(fl.log.Head())
+	if !ok {
+		fl.log.Reset(head)
+		return
+	}
+	for _, f := range frames {
+		*fl.log.Append() = f
+	}
 }

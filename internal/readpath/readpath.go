@@ -23,9 +23,10 @@
 // Resync mirrors the coordinator exactly: a replica whose own subscriber
 // falls off its retained frame window answers resync, and a replica whose
 // cursor falls off the upstream's ring receives the stream's resync frame,
-// re-anchors at the carried generation/topology version, drops its frame
-// ring and flushes its document caches (the upstream may have restarted
-// with regressed counters, which monotonic cache keys cannot express).
+// re-anchors at the carried generation/topology version, restarts its
+// generation log and flushes its document caches (the upstream may have
+// restarted with regressed counters, which monotonic cache keys cannot
+// express).
 package readpath
 
 import (
@@ -63,8 +64,8 @@ type Options struct {
 	// for upstreams behind the token-auth middleware. Empty sends none.
 	UpstreamAuth string
 	// Retention is how many generations of frames the replica retains for
-	// its own /diff subscribers; 0 uses the coordinator's default ring
-	// capacity (64).
+	// its own /diff subscribers; 0 uses hostlink.DefaultRetention, the
+	// coordinator's default.
 	Retention int
 	// ReconnectWait is the pause between follow attempts after the
 	// stream drops; 0 uses one second.
@@ -91,7 +92,6 @@ type Replica struct {
 	upstream      string
 	client        *http.Client
 	upstreamAuth  string
-	retention     int
 	reconnectWait time.Duration
 	logf          func(string, ...any)
 	srv           *httpapi.Server
@@ -100,15 +100,13 @@ type Replica struct {
 	// anchored reports that the replica has a valid cursor: either a
 	// replayed-from-zero stream or a resync frame established it.
 	anchored bool
-	// gen and topoVer mirror the upstream's generation and topology
-	// version as of the last applied frame.
-	gen     uint64
+	// frames is the replica's generation log for /diff re-fan-out: the
+	// shared per-generation frames, rebuilt from the wire records by the
+	// same builder the coordinator uses. Its head mirrors the upstream's
+	// generation, and topoVer its topology version, as of the last
+	// applied frame.
+	frames  *hostlink.Log[*httpapi.Frame]
 	topoVer uint64
-	// frames is the replica's own retention ring for /diff re-fan-out:
-	// the shared per-generation frames, rebuilt from the wire records by
-	// the same builder the coordinator uses.
-	frames map[uint64]*httpapi.Frame
-	oldest uint64
 	// notify is closed (and replaced) on every cursor change, waking the
 	// replica's own long-polls and streams.
 	notify chan struct{}
@@ -127,18 +125,17 @@ func New(opts Options) (*Replica, error) {
 		upstream:      strings.TrimSuffix(opts.Upstream, "/"),
 		client:        opts.Client,
 		upstreamAuth:  opts.UpstreamAuth,
-		retention:     opts.Retention,
 		reconnectWait: opts.ReconnectWait,
 		logf:          opts.Logf,
-		frames:        make(map[uint64]*httpapi.Frame),
-		oldest:        1,
 		notify:        make(chan struct{}),
 	}
+	retention := opts.Retention
+	if retention <= 0 {
+		retention = hostlink.DefaultRetention
+	}
+	r.frames = hostlink.NewLog[*httpapi.Frame](retention)
 	if r.client == nil {
 		r.client = http.DefaultClient
-	}
-	if r.retention <= 0 {
-		r.retention = 64
 	}
 	if r.reconnectWait <= 0 {
 		r.reconnectWait = time.Second
@@ -172,7 +169,7 @@ func (r *Replica) Stats() Stats {
 func (r *Replica) Generation() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen
+	return r.frames.Head()
 }
 
 // TopologyVersion implements httpapi.Source.
@@ -254,30 +251,12 @@ func (r *Replica) PathDoc(source, target string) ([]byte, int) {
 	return r.fetch("/v1/path/" + url.PathEscape(source) + "/" + url.PathEscape(target))
 }
 
-// Frames implements httpapi.Source over the replica's own retained ring,
-// with the coordinator's exact semantics: ok=false for a cursor in the
-// future or fallen off the window, empty success at the head.
+// Frames implements httpapi.Source over the replica's own generation
+// log, with the coordinator's exact cursor rules.
 func (r *Replica) Frames(since uint64) ([]*httpapi.Frame, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	head := r.gen
-	switch {
-	case since > head:
-		return nil, false
-	case since == head:
-		return nil, true
-	case since+1 < r.oldest:
-		return nil, false
-	}
-	out := make([]*httpapi.Frame, 0, head-since)
-	for g := since + 1; g <= head; g++ {
-		f, ok := r.frames[g]
-		if !ok {
-			return nil, false
-		}
-		out = append(out, f)
-	}
-	return out, true
+	return r.frames.Since(since)
 }
 
 // Run follows the upstream's binary /diff stream until ctx is canceled,
@@ -348,44 +327,27 @@ func (r *Replica) followOnce(ctx context.Context) error {
 }
 
 // applyFrame ingests one generation: it rebuilds the shared frame (same
-// builder as the coordinator's frame cache, so the replica's SSE/JSON
-// re-fan-out is byte-identical), advances the cursor, and evicts beyond
-// the retention window.
+// builder as the coordinator's frame log, so the replica's SSE/JSON
+// re-fan-out is byte-identical) and appends it to the generation log.
 func (r *Replica) applyFrame(gen uint64, rec *constellation.DiffRecord) {
 	frame := httpapi.BuildFrame(gen, rec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case !r.anchored:
-		// First contact on a replayed-from-zero stream: the ring starts
-		// at this generation.
-		r.anchored = true
-		r.frames[gen] = frame
-		r.oldest = gen
-	case gen <= r.gen:
+	switch head := r.frames.Head(); {
+	case r.anchored && gen <= head:
 		// Reconnect overlap: the upstream replayed a generation we
 		// already hold.
 		return
-	case gen != r.gen+1:
-		// A gap without a resync frame (should not happen): restart the
-		// ring at gen so our own subscribers resync rather than seeing a
-		// hole.
-		clear(r.frames)
-		r.frames[gen] = frame
-		r.oldest = gen
-	default:
-		if len(r.frames) == 0 {
-			r.oldest = gen
-		}
-		r.frames[gen] = frame
+	case !r.anchored || gen != head+1:
+		// First contact on a replayed-from-zero stream, or a gap without
+		// a resync frame (should not happen): the log restarts at gen,
+		// so our own subscribers resync rather than seeing a hole.
+		r.anchored = true
+		r.frames.Reset(gen - 1)
 	}
-	r.gen = gen
+	*r.frames.Append() = frame
 	if !frame.Doc.Empty {
 		r.topoVer = gen
-	}
-	for r.gen-r.oldest+1 > uint64(r.retention) {
-		delete(r.frames, r.oldest)
-		r.oldest++
 	}
 	r.stats.FramesApplied++
 	r.bump()
@@ -393,16 +355,14 @@ func (r *Replica) applyFrame(gen uint64, rec *constellation.DiffRecord) {
 
 // resync re-anchors the replica at the upstream's head: the cursor fell
 // off the upstream's retention ring (or this is first contact past it).
-// The frame ring restarts empty and the document caches are flushed —
-// after an upstream restart the generation counter may have regressed,
+// The generation log restarts empty and the document caches are flushed
+// — after an upstream restart the generation counter may have regressed,
 // and monotonic cache keys would otherwise pin stale documents forever.
 func (r *Replica) resync(gen, topoVer uint64) {
 	r.mu.Lock()
 	r.anchored = true
-	r.gen = gen
+	r.frames.Reset(gen)
 	r.topoVer = topoVer
-	clear(r.frames)
-	r.oldest = gen + 1
 	r.stats.Resyncs++
 	r.bump()
 	r.mu.Unlock()
@@ -415,7 +375,7 @@ func (r *Replica) resync(gen, topoVer uint64) {
 func (r *Replica) WaitSynced(ctx context.Context, gen uint64) error {
 	for {
 		r.mu.Lock()
-		cur, anchored, ch := r.gen, r.anchored, r.notify
+		cur, anchored, ch := r.frames.Head(), r.anchored, r.notify
 		r.mu.Unlock()
 		if anchored && cur >= gen {
 			return nil
