@@ -20,6 +20,7 @@ import (
 	"celestial/internal/constellation"
 	"celestial/internal/experiments"
 	"celestial/internal/geom"
+	"celestial/internal/graph"
 	"celestial/internal/orbit"
 	"celestial/internal/stats"
 	"celestial/internal/supervise"
@@ -416,6 +417,38 @@ func BenchmarkTickUpdateGen2(b *testing.B) {
 	b.ReportMetric(float64(wd.Stats().DegradedTicks)/float64(b.N), "degraded-tick-frac")
 	if mean := elapsed / time.Duration(b.N); mean > time.Second {
 		b.Fatalf("steady-state Gen2 tick took %v, over the 1 s real-time bound", mean)
+	}
+}
+
+// BenchmarkDijkstraGen2Stations isolates the shortest-path kernel of the
+// Gen2 tick: one op computes all 100 station trees of gen2With100GSTs
+// (29,988 satellites, stations non-forwarding) on one warm workspace and
+// recycled result arrays, the way a path-repair fallback recomputes them.
+// A warm run allocates nothing.
+func BenchmarkDijkstraGen2Stations(b *testing.B) {
+	cons := gen2With100GSTs(b)
+	st, err := cons.NewSnapshotPool().Snapshot(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := st.Graph()
+	n := cons.NodeCount()
+	sats := n - 100
+	transit := func(node int) bool { return node < sats }
+	var ws graph.Workspace
+	dist, prev := make([]float64, n), make([]int, n)
+	trees := func() {
+		for src := sats; src < n; src++ {
+			if _, err := g.DijkstraTransitInto(src, transit, dist, prev, &ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	trees()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trees()
 	}
 }
 

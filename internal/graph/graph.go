@@ -1,10 +1,12 @@
 // Package graph provides the shortest-path machinery of the Constellation
 // Calculation: a compact weighted undirected graph with a frozen
-// compressed-sparse-row core, Dijkstra's algorithm with a binary heap,
-// incremental repair of single-source results under edge diffs
-// (RepairSSSP), and the Floyd-Warshall all-pairs algorithm. The paper uses
-// efficient implementations of these to compute shortest network paths
-// within the constellation and their end-to-end latency (§3.1).
+// compressed-sparse-row core, Dijkstra's algorithm over a monotone radix
+// heap keyed on the distances' float64 bit patterns (exact for the
+// non-negative, non-NaN weights the graph accepts), incremental repair of
+// single-source results under edge diffs (RepairSSSP), and the
+// Floyd-Warshall all-pairs algorithm. The paper uses efficient
+// implementations of these to compute shortest network paths within the
+// constellation and their end-to-end latency (§3.1).
 package graph
 
 import (
@@ -417,58 +419,6 @@ func (g *Graph) Neighbors(node int) []Edge {
 // Degree returns the number of incident edges of a node.
 func (g *Graph) Degree(node int) int { return len(g.Neighbors(node)) }
 
-// item is a heap entry for Dijkstra.
-type item struct {
-	node int
-	dist float64
-}
-
-// minHeap is a hand-rolled binary min-heap over items. container/heap is
-// deliberately not used: its interface{}-based Push/Pop box every item,
-// which made heap traffic the dominant allocation of the constellation
-// update loop.
-type minHeap []item
-
-func (h *minHeap) push(it item) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].dist <= s[i].dist {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *minHeap) pop() item {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].dist < s[min].dist {
-			min = l
-		}
-		if r < n && s[r].dist < s[min].dist {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // ShortestPaths is the result of a single-source Dijkstra run.
 type ShortestPaths struct {
 	Source int
@@ -480,14 +430,14 @@ type ShortestPaths struct {
 	Prev []int
 }
 
-// Workspace holds a Dijkstra run's heap scratch — plus the stamp array and
-// cone queue of RepairSSSP — so that repeated runs on graphs of similar
-// size reallocate nothing; pair it with DijkstraTransitInto and recycled
-// dist/prev arrays to make a run allocation-free. A Workspace is not safe
-// for concurrent use; give each goroutine its own. The zero value is ready
-// to use.
+// Workspace holds a Dijkstra run's radix-heap scratch plus the stamp array
+// and cone queue of RepairSSSP, all per-node arrays sized to the node count
+// once, so repeated runs on graphs of similar size reallocate nothing; pair
+// it with DijkstraTransitInto and recycled dist/prev arrays to make a run
+// allocation-free. A Workspace is not safe for concurrent use; give each
+// goroutine its own. The zero value is ready to use.
 type Workspace struct {
-	heap minHeap
+	heap radixHeap
 	// stamp is an epoch-stamped visited array shared by RepairSSSP's cone
 	// search (stamp == epoch) and boundary seeding (stamp == epoch+1):
 	// bumping the epoch clears it in O(1).
@@ -496,19 +446,34 @@ type Workspace struct {
 	queue []int32
 }
 
-// prepareRepair sizes the stamp array for n nodes and returns the two fresh
-// epoch values for the affected-cone and seeded marks.
-func (ws *Workspace) prepareRepair(n int) (coneEpoch, seedEpoch int32) {
-	if len(ws.stamp) < n || ws.epoch > math.MaxInt32-2 {
+// size makes all of the workspace's per-node scratch — the radix heap's
+// arrays, the stamp array and the cone queue — hold n nodes. Full runs and
+// repairs both call it, so whichever comes first sizes everything and the
+// other never allocates on a warm workspace.
+func (ws *Workspace) size(n int) {
+	if len(ws.stamp) < n {
 		ws.stamp = make([]int32, n)
+		ws.epoch = 0
+		ws.queue = make([]int32, 0, n)
+	}
+	ws.heap.grow(n)
+}
+
+// prepareRepair returns the two fresh epoch values for the affected-cone
+// and seeded marks of a workspace already sized for the graph.
+func (ws *Workspace) prepareRepair() (coneEpoch, seedEpoch int32) {
+	if ws.epoch > math.MaxInt32-2 {
+		clear(ws.stamp)
 		ws.epoch = 0
 	}
 	ws.epoch += 2
 	return ws.epoch - 1, ws.epoch
 }
 
-// Dijkstra computes single-source shortest paths from src using a binary
-// heap, running in O((N+M) log N).
+// Dijkstra computes single-source shortest paths from src. Its queue is a
+// monotone radix heap (see radixHeap) in which a node moves at most 64
+// times, and exactly tied distances pop in node order at O(log k) per pop
+// for k ties, so a run costs O(N+M) plus O(log k) per tied pop.
 func (g *Graph) Dijkstra(src int) (ShortestPaths, error) {
 	return g.DijkstraTransit(src, nil)
 }
@@ -526,12 +491,13 @@ func (g *Graph) DijkstraTransit(src int, transit func(node int) bool) (ShortestP
 // DijkstraTransitInto is DijkstraTransit writing into caller-owned result
 // buffers: dist and prev back the returned ShortestPaths when they have
 // sufficient capacity and are reallocated otherwise; either way the caller
-// owns the result. A non-nil ws lends only its heap scratch. This is the
+// owns the result. A non-nil ws lends only its scratch. This is the
 // entry point of the snapshot path cache, which recycles result arrays
 // from the previous tick.
 func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist []float64, prev []int, ws *Workspace) (ShortestPaths, error) {
-	var h *minHeap
+	var h *radixHeap
 	if ws != nil {
+		ws.size(g.n)
 		h = &ws.heap
 	}
 	return g.dijkstra(src, transit, dist, prev, h)
@@ -540,7 +506,7 @@ func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist [
 // dijkstra is the shared Dijkstra core: dist and prev are used as result
 // backing when large enough, h as heap scratch when non-nil. It scans the
 // frozen CSR image, building it first if a mutation invalidated it.
-func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, prev []int, h *minHeap) (ShortestPaths, error) {
+func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, prev []int, h *radixHeap) (ShortestPaths, error) {
 	sp := ShortestPaths{Source: src}
 	if src < 0 || src >= g.n {
 		return sp, fmt.Errorf("graph: source %d out of range [0, %d)", src, g.n)
@@ -561,17 +527,19 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 	sp.Dist[src] = 0
 
 	if h == nil {
-		h = &minHeap{}
+		h = new(radixHeap)
 	}
-	*h = (*h)[:0]
-	h.push(item{node: src, dist: 0})
+	h.grow(g.n)
+	h.reset()
+	h.push(int32(src), 0)
 	g.runHeap(&sp, transit, h)
 	return sp, nil
 }
 
 // runHeap drains h, settling nodes over the frozen CSR arrays. It is the
 // shared engine of full Dijkstra runs (heap seeded with the source) and
-// RepairSSSP (heap seeded with the affected cone's boundary).
+// RepairSSSP (heap seeded with the affected cone's boundary). Every queued
+// node's key is its current Dist, so a popped node is settled at Dist.
 //
 // Relaxation is canonical: on a strictly shorter distance the predecessor
 // follows the improving edge as usual; on an exactly equal distance over a
@@ -582,29 +550,31 @@ func (g *Graph) dijkstra(src int, transit func(node int) bool, dist []float64, p
 // reproduce a from-scratch run bit for bit, predecessors included.
 // Zero-weight ties are excluded from the rule (they could order two
 // equal-distance endpoints into a predecessor cycle); graphs containing
-// zero-weight edges keep a deterministic but order-dependent tree, which is
-// why RepairSSSP refuses its fast path on them.
-func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *minHeap) {
+// zero-weight edges keep a tree that depends on the settle order. The
+// queue pops in (distance, node) order, which makes that order a pure
+// function of the graph, so the tree is still deterministic; but a repair
+// settles a different sequence than a full run, which is why RepairSSSP
+// refuses its fast path on such graphs.
+func (g *Graph) runHeap(sp *ShortestPaths, transit func(node int) bool, h *radixHeap) {
 	rs, re, et, wt := g.rowStart, g.rowEnd, g.edgeTo, g.weight
 	src := sp.Source
-	for len(*h) > 0 {
-		it := h.pop()
-		if it.dist > sp.Dist[it.node] {
-			continue // stale entry
-		}
-		if transit != nil && it.node != src && !transit(it.node) {
+	for !h.empty() {
+		u := h.pop()
+		node := int(u)
+		if transit != nil && node != src && !transit(node) {
 			continue // reachable, but not allowed to forward
 		}
-		for idx := rs[it.node]; idx < re[it.node]; idx++ {
-			to := int(et[idx])
+		du := sp.Dist[node]
+		for idx := rs[u]; idx < re[u]; idx++ {
+			to := et[idx]
 			w := wt[idx]
-			nd := it.dist + w
+			nd := du + w
 			if nd < sp.Dist[to] {
 				sp.Dist[to] = nd
-				sp.Prev[to] = it.node
-				h.push(item{node: to, dist: nd})
-			} else if nd == sp.Dist[to] && w > 0 && it.node < sp.Prev[to] {
-				sp.Prev[to] = it.node
+				sp.Prev[to] = node
+				h.push(to, nd)
+			} else if nd == sp.Dist[to] && w > 0 && node < sp.Prev[to] {
+				sp.Prev[to] = node
 			}
 		}
 	}

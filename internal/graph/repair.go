@@ -27,10 +27,11 @@ const RepairFallbackFraction = 0.2
 // Ramalingam–Reps dynamic shortest paths: only the cone of nodes whose old
 // tree support broke is unsettled and re-settled from a priority queue
 // seeded with its boundary and the endpoints of improved edges, so a small
-// diff costs O(affected · log affected) instead of a full O((N+M) log N)
-// run. The repaired result is bit-identical — distances and predecessors —
-// to a fresh run on g, because both sides resolve equal-distance ties with
-// the canonical rule of runHeap.
+// diff costs O(affected nodes + their edges) instead of a full O(N+M) run
+// (both on the radix heap, see radixHeap). The repaired result is
+// bit-identical — distances and predecessors — to a fresh run on g,
+// because both sides resolve equal-distance ties with the canonical rule
+// of runHeap.
 //
 // sp's Dist/Prev arrays are rewritten in place and must be exclusively
 // owned by the caller; transit must be the same predicate the original run
@@ -58,6 +59,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 	if ws == nil {
 		ws = new(Workspace)
 	}
+	ws.size(g.n)
 	full := func() (bool, error) {
 		nsp, err := g.dijkstra(sp.Source, transit, sp.Dist, sp.Prev, &ws.heap)
 		if err != nil {
@@ -79,7 +81,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 	// not part of the old tree cannot worsen any distance, and (because
 	// predecessors are canonical minima) cannot have been a recorded
 	// predecessor either.
-	cone, seeded := ws.prepareRepair(g.n)
+	cone, seeded := ws.prepareRepair()
 	stamp := ws.stamp
 	queue := ws.queue[:0]
 	for _, d := range deltas {
@@ -142,7 +144,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		sp.Prev[v] = -1
 	}
 	h := &ws.heap
-	*h = (*h)[:0]
+	h.reset()
 	src := sp.Source
 	wts := g.weight
 	for _, u := range queue {
@@ -165,7 +167,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		if bp >= 0 {
 			sp.Dist[b] = bd
 			sp.Prev[b] = bp
-			h.push(item{node: b, dist: bd})
+			h.push(u, bd)
 		}
 	}
 	for _, d := range deltas {
@@ -173,7 +175,7 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 			for _, v := range [2]int{d.A, d.B} {
 				if stamp[v] != cone && stamp[v] != seeded && !math.IsInf(sp.Dist[v], 1) {
 					stamp[v] = seeded
-					h.push(item{node: v, dist: sp.Dist[v]})
+					h.push(int32(v), sp.Dist[v])
 				}
 			}
 		}

@@ -293,10 +293,12 @@ func TestFreezeInvalidation(t *testing.T) {
 	}
 }
 
-// BenchmarkRepairSSSPTorus measures the repair fast path against a full
-// recompute on the +GRID-like torus after a handful of one-quantum weight
-// bumps — the steady-state constellation tick shape.
-func BenchmarkRepairSSSPTorus(b *testing.B) {
+// bumpedTorus builds the +GRID-like 72×22 torus after a handful of
+// one-quantum weight bumps — the steady-state constellation tick shape —
+// and returns the bumped graph, the bumps as deltas, and the source-0 tree
+// of the unbumped graph they repair.
+func bumpedTorus(t testing.TB) (*Graph, []EdgeDelta, ShortestPaths) {
+	t.Helper()
 	w, h := 72, 22
 	n := w * h
 	g1 := New(n)
@@ -330,8 +332,16 @@ func BenchmarkRepairSSSPTorus(b *testing.B) {
 	}
 	base, err := g1.Dijkstra(0)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
+	return g2, deltas, base
+}
+
+// BenchmarkRepairSSSPTorus measures the repair fast path against a full
+// recompute on the bumped torus.
+func BenchmarkRepairSSSPTorus(b *testing.B) {
+	g2, deltas, base := bumpedTorus(b)
+	n := g2.N()
 	var ws Workspace
 	dist := make([]float64, n)
 	prev := make([]int, n)

@@ -86,7 +86,7 @@ func serveOnce(s *Server, endpoint string) {
 
 // BenchmarkAPI measures the information service's request throughput:
 // cached vs uncached serving for the hot endpoints, and a mixed client
-// load racing the coordinator's tick loop (the deployment shape: many
+// load interleaved with coordinator ticks (the deployment shape: many
 // emulated applications polling while the constellation updates). The
 // cached-vs-uncached ns/op ratio for /info is the req/s speedup the
 // response cache buys; CI records all entries in the benchmark artifact
@@ -154,26 +154,34 @@ func BenchmarkAPI(b *testing.B) {
 		hammer(b, s, "/diff?since="+strconv.FormatUint(c.Generation()-8, 10))
 	})
 	b.Run("mixed-ticking", func(b *testing.B) {
+		// The mixed endpoint load between coordinator ticks: every
+		// requestsPerTick requests the coordinator advances one tick,
+		// which publishes a new state and invalidates the response
+		// caches, so the requests after it pay the refills. The tick runs
+		// with the timer stopped, keeping the coordinator's allocations
+		// out of the service's allocs/op: a ticker racing the timed window
+		// added a random number of whole ticks to it, which under
+		// -benchtime 1x swung allocs/op to twice its baseline.
+		const requestsPerTick = 64
 		s, c := benchServer(b, true)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+		endpoints := append([]string{"/info", "/gst/accra", "/diff?since=0"}, pathEndpoints...)
+		reqs := make([]*http.Request, len(endpoints))
+		for i, ep := range endpoints {
+			serveOnce(s, ep)
+			reqs[i] = httptest.NewRequest(http.MethodGet, ep, nil)
+		}
+		w := &nopResponseWriter{h: make(http.Header)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%requestsPerTick == 0 {
+				b.StopTimer()
 				if err := c.Run(time.Second); err != nil {
-					b.Error(err)
-					return
+					b.Fatal(err)
 				}
+				b.StartTimer()
 			}
-		}()
-		hammer(b, s, append([]string{"/info", "/gst/accra", "/diff?since=0"}, pathEndpoints...)...)
-		b.StopTimer()
-		close(stop)
-		<-done
+			s.ServeHTTP(w, reqs[i%len(reqs)])
+		}
 	})
 }
