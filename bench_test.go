@@ -420,6 +420,47 @@ func BenchmarkTickUpdateGen2(b *testing.B) {
 	}
 }
 
+// BenchmarkTickUpdateGen2Coarse is the Gen2 tick of gen2With100GSTs at a
+// 5 s step with all 100 station trees in the path cache. At this step
+// almost every tree's affected cone outgrows the repair fallback
+// threshold, so the op is dominated by the fallback: re-evaluating each
+// old tree under the new weights and correcting it. The metrics count the
+// fast-path repairs and the fallbacks per tick.
+func BenchmarkTickUpdateGen2Coarse(b *testing.B) {
+	cons := gen2With100GSTs(b)
+	pool := cons.NewSnapshotPool()
+	n := cons.NodeCount()
+	queryAll := func(st *constellation.State) {
+		for g := n - 100; g < n; g++ {
+			if _, err := st.Latency(g, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	prev, err := pool.Snapshot(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queryAll(prev)
+	repaired, fallbacks := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := pool.Snapshot(5 * float64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		queryAll(st)
+		d := st.Diff()
+		repaired += d.RepairedPaths
+		fallbacks += d.RepairFallbacks
+		pool.Recycle(prev)
+		prev = st
+	}
+	b.ReportMetric(float64(repaired)/float64(b.N), "repaired-paths/op")
+	b.ReportMetric(float64(fallbacks)/float64(b.N), "repair-fallbacks/op")
+}
+
 // BenchmarkDijkstraGen2Stations isolates the shortest-path kernel of the
 // Gen2 tick: one op computes all 100 station trees of gen2With100GSTs
 // (29,988 satellites, stations non-forwarding) on one warm workspace and

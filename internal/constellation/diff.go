@@ -50,8 +50,8 @@ type Diff struct {
 	// RepairedPaths counts shortest-path cache entries incrementally
 	// repaired from the base state's trees under this diff's link deltas
 	// (graph.RepairSSSP); RepairFallbacks counts entries whose affected
-	// cone was too large and that were fully recomputed instead. Both are
-	// zero on link-unchanged diffs, which transplant.
+	// cone was too large and whose old tree was re-evaluated as a whole
+	// instead. Both are zero on link-unchanged diffs, which transplant.
 	RepairedPaths   int
 	RepairFallbacks int
 	// GraphPatched reports that the snapshot's latency graph was

@@ -134,6 +134,55 @@ func TestStarlinkP1RepairDifferential(t *testing.T) {
 	}
 }
 
+// TestCoarseStepRepairDifferential is the repair differential at a 5 s
+// step, the regime where the affected cones of most cached trees outgrow
+// graph.RepairFallbackFraction and the repair re-evaluates the old tree
+// instead of patching a cone. Every cached source — every ground station
+// and a spread of satellites — must be bit-identical, distances and
+// predecessors, to a fresh Dijkstra on a from-scratch snapshot of the same
+// epoch, and the run must actually take the fallback.
+func TestCoarseStepRepairDifferential(t *testing.T) {
+	c := mustNew(t, testConfig(t, orbit.ModelKepler))
+	fresh := mustNew(t, testConfig(t, orbit.ModelKepler))
+	tp := &tickingPool{pool: c.NewSnapshotPool()}
+	sources := []int{0, 137, 301, 527}
+	for g := 24 * 22; g < c.NodeCount(); g++ {
+		sources = append(sources, g)
+	}
+
+	repairedTotal, fallbackTotal := 0, 0
+	for i := 0; i <= 24; i++ {
+		offset := 5 * float64(i)
+		st := tp.tick(t, offset)
+		repairedTotal += st.Diff().RepairedPaths
+		fallbackTotal += st.Diff().RepairFallbacks
+		ref, err := fresh.Snapshot(offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			// Every source queried on the previous tick arrives repaired.
+			for _, src := range sources {
+				if e := entryFor(st, src); e == nil || !e.done.Load() {
+					t.Fatalf("tick %d: source %d not pre-repaired", i, src)
+				}
+			}
+		}
+		for _, src := range sources {
+			want, err1 := ref.pathsFor(src)
+			got, err2 := st.pathsFor(src)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			assertSPIdentical(t, "coarse", want, got)
+		}
+	}
+	if fallbackTotal == 0 {
+		t.Fatalf("no repair fell back over 120 s at a 5 s step (repaired: %d)", repairedTotal)
+	}
+	t.Logf("repaired entries: %d, fallbacks: %d", repairedTotal, fallbackTotal)
+}
+
 // TestRepairUnderConcurrentQueries ticks the pool while readers hammer the
 // previous (still published, leased-style) state — under -race this locks
 // in that repair only ever copies leased entries, never mutates them.

@@ -378,8 +378,8 @@ func (c *Coordinator) DiffsSince(since uint64) (entries []DiffEntry, ok bool) {
 // constellation diff: how many links appeared, disappeared or changed
 // their delay quantum, how many nodes flipped activity, and how many
 // shortest-path cache entries were carried over (unchanged links),
-// incrementally repaired under the tick's link deltas, or fully recomputed
-// because their affected cone was too large. An Empty diff means the
+// incrementally repaired under the tick's link deltas, or re-evaluated as
+// whole trees because their affected cone was too large. An Empty diff means the
 // update distributed nothing — the emulated network was provably unchanged
 // at netem granularity.
 func (c *Coordinator) LastDiff() constellation.DiffStats {

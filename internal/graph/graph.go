@@ -3,10 +3,13 @@
 // compressed-sparse-row core, Dijkstra's algorithm over a monotone radix
 // heap keyed on the distances' float64 bit patterns (exact for the
 // non-negative, non-NaN weights the graph accepts), incremental repair of
-// single-source results under edge diffs (RepairSSSP), and the
-// Floyd-Warshall all-pairs algorithm. The paper uses efficient
-// implementations of these to compute shortest network paths within the
-// constellation and their end-to-end latency (§3.1).
+// single-source results under edge diffs (RepairSSSP: a small affected
+// cone is re-settled alone, a larger one re-evaluates the old tree under
+// the new weights in O(N+M) passes plus a radix-heap correction of the
+// nodes that improve), and the Floyd-Warshall all-pairs algorithm. The
+// paper uses efficient implementations of these to compute shortest
+// network paths within the constellation and their end-to-end latency
+// (§3.1).
 package graph
 
 import (
@@ -431,7 +434,8 @@ type ShortestPaths struct {
 }
 
 // Workspace holds a Dijkstra run's radix-heap scratch plus the stamp array
-// and cone queue of RepairSSSP, all per-node arrays sized to the node count
+// and cone queue of RepairSSSP (the queue also holds the old-tree order of
+// its re-evaluation), all per-node arrays sized to the node count
 // once, so repeated runs on graphs of similar size reallocate nothing; pair
 // it with DijkstraTransitInto and recycled dist/prev arrays to make a run
 // allocation-free. A Workspace is not safe for concurrent use; give each
@@ -439,17 +443,18 @@ type ShortestPaths struct {
 type Workspace struct {
 	heap radixHeap
 	// stamp is an epoch-stamped visited array shared by RepairSSSP's cone
-	// search (stamp == epoch) and boundary seeding (stamp == epoch+1):
-	// bumping the epoch clears it in O(1).
+	// search (stamp == epoch) and boundary seeding (stamp == epoch+1), and
+	// by the re-evaluation's ordering walk: bumping the epoch clears it in
+	// O(1).
 	stamp []int32
 	epoch int32
 	queue []int32
 }
 
 // size makes all of the workspace's per-node scratch — the radix heap's
-// arrays, the stamp array and the cone queue — hold n nodes. Full runs and
-// repairs both call it, so whichever comes first sizes everything and the
-// other never allocates on a warm workspace.
+// arrays, the stamp array and the cone queue — hold n nodes. Full runs,
+// repairs and re-evaluations all call it, so whichever comes first sizes
+// everything and the others never allocate on a warm workspace.
 func (ws *Workspace) size(n int) {
 	if len(ws.stamp) < n {
 		ws.stamp = make([]int32, n)

@@ -387,6 +387,62 @@ func FuzzDijkstraMatchesOracle(f *testing.F) {
 	})
 }
 
+// FuzzRepairFallbackMatchesOracle drives the re-evaluation RepairSSSP runs
+// past the fallback threshold with an arbitrary warm start. It decodes a
+// node count, a source and a transit selector, one predecessor byte per
+// node — anything goes: cycles, self-loops, non-edges, and IDs past the
+// graph clamped to -1 — then (a, b, weight) triples of positive-weight
+// edges (the re-evaluation shares the fast path's canonical rule, so
+// zero-weight graphs never reach it). The result must match the oracle
+// bit for bit, with and without the transit predicate, whatever the input
+// distances hold.
+func FuzzRepairFallbackMatchesOracle(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 0, 1, 2, 0, 1, 9, 1, 2, 9, 2, 3, 9, 0, 3, 40})
+	f.Add([]byte{5, 1, 0, 2, 3, 1, 5, 4, 0, 1, 8, 1, 2, 8, 2, 3, 8, 3, 4, 3, 0, 4, 16, 1, 3, 16})
+	f.Add([]byte{6, 5, 3, 255, 7, 1, 1, 6, 4, 0, 1, 4, 1, 2, 5, 2, 3, 6, 3, 4, 7, 4, 5, 8, 0, 5, 200, 1, 4, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%30
+		src := int(data[1]) % n
+		sel := int(data[2])
+		data = data[3:]
+		prev := make([]int, n)
+		for v := range prev {
+			prev[v] = -1
+			if v < len(data) {
+				if p := int(data[v]) - 1; p < n {
+					prev[v] = p
+				}
+			}
+		}
+		if len(data) > n {
+			data = data[n:]
+		} else {
+			data = nil
+		}
+		g := New(n)
+		for ; len(data) >= 3; data = data[3:] {
+			a, b, w := int(data[0])%n, int(data[1])%n, fuzzWeight(data[2])
+			if a != b && w > 0 {
+				g.AddEdgeUnchecked(a, b, w)
+			}
+		}
+		g.Freeze()
+		var ws Workspace
+		ws.size(n)
+		for _, transit := range []func(int) bool{nil, func(v int) bool { return (v+sel)%3 != 0 }} {
+			sp := ShortestPaths{Source: src, Dist: make([]float64, n), Prev: append([]int(nil), prev...)}
+			for v := range sp.Dist {
+				sp.Dist[v] = math.NaN()
+			}
+			g.reevaluate(&sp, transit, &ws)
+			assertMatchesOracle(t, g, sp, transit, "re-evaluation")
+		}
+	})
+}
+
 // allocsAfter reports the allocations of one then() call on state warmed
 // only by one warm() call: testing.AllocsPerRun spends its discarded
 // warm-up run on warm and measures the run that follows.
@@ -401,21 +457,31 @@ func allocsAfter(warm, then func()) float64 {
 	})
 }
 
-// TestWarmWorkspaceAllocatesNothing pins the radix heap's storage: one
-// pool sized to the node count by whichever run comes first, so a
-// workspace warmed by a repair serves a full run — and the reverse —
-// without a single allocation, and so does every later pair of runs.
+// TestWarmWorkspaceAllocatesNothing pins the graph scratch: one pool sized
+// to the node count by whichever run comes first, so a workspace warmed by
+// a full run, a fast-path repair or a fallback re-evaluation serves each
+// of the other two without a single allocation, and so does every later
+// pair of runs.
 func TestWarmWorkspaceAllocatesNothing(t *testing.T) {
 	g, deltas, base := bumpedTorus(t)
 	n := g.N()
 	dist, prev := make([]float64, n), make([]int, n)
-	repair := func(ws *Workspace) func() {
-		return func() {
-			copy(dist, base.Dist)
-			copy(prev, base.Prev)
-			sp := ShortestPaths{Source: 0, Dist: dist, Prev: prev}
-			if repaired, err := g.RepairSSSP(&sp, deltas, nil, ws); err != nil || !repaired {
-				t.Fatalf("repair: repaired=%v err=%v", repaired, err)
+	// Listing the source's edges as removed and re-added puts its whole
+	// tree in the affected cone, which forces the re-evaluation.
+	g.Freeze()
+	wide := append([]EdgeDelta(nil), deltas...)
+	for _, e := range g.FrozenRow(0, nil) {
+		wide = append(wide, EdgeDelta{A: 0, B: e.To, OldW: e.Weight, NewW: -1}, EdgeDelta{A: 0, B: e.To, OldW: -1, NewW: e.Weight})
+	}
+	repairWith := func(deltas []EdgeDelta, fast bool) func(*Workspace) func() {
+		return func(ws *Workspace) func() {
+			return func() {
+				copy(dist, base.Dist)
+				copy(prev, base.Prev)
+				sp := ShortestPaths{Source: 0, Dist: dist, Prev: prev}
+				if repaired, err := g.RepairSSSP(&sp, deltas, nil, ws); err != nil || repaired != fast {
+					t.Fatalf("repair: repaired=%v (want %v) err=%v", repaired, fast, err)
+				}
 			}
 		}
 	}
@@ -426,17 +492,23 @@ func TestWarmWorkspaceAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-	for _, order := range []struct {
-		name          string
-		first, second func(*Workspace) func()
-	}{{"repair-then-full", repair, full}, {"full-then-repair", full, repair}} {
-		var ws Workspace
-		first, second := order.first(&ws), order.second(&ws)
-		if a := allocsAfter(first, second); a != 0 {
-			t.Errorf("%s: second run on a workspace warmed by the first allocated %v times", order.name, a)
-		}
-		if a := testing.AllocsPerRun(10, func() { first(); second() }); a != 0 {
-			t.Errorf("%s: warm pair allocated %v times per run", order.name, a)
+	runs := []struct {
+		name string
+		run  func(*Workspace) func()
+	}{{"full", full}, {"repair", repairWith(deltas, true)}, {"re-evaluation", repairWith(wide, false)}}
+	for _, first := range runs {
+		for _, second := range runs {
+			if first.name == second.name {
+				continue
+			}
+			var ws Workspace
+			a, b := first.run(&ws), second.run(&ws)
+			if allocs := allocsAfter(a, b); allocs != 0 {
+				t.Errorf("%s after %s: run on a workspace warmed by the first allocated %v times", second.name, first.name, allocs)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { a(); b() }); allocs != 0 {
+				t.Errorf("%s then %s: warm pair allocated %v times per run", first.name, second.name, allocs)
+			}
 		}
 	}
 }

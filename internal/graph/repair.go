@@ -17,9 +17,11 @@ type EdgeDelta struct {
 
 // RepairFallbackFraction is the dynamic-repair cutoff: when the affected
 // cone (nodes whose shortest-path tree support was invalidated) exceeds
-// this fraction of all nodes, re-settling it costs about as much as a full
-// run plus the repair bookkeeping, so RepairSSSP abandons the repair and
-// recomputes from scratch.
+// this fraction of all nodes, re-settling it costs about as much as
+// settling the whole graph, so RepairSSSP abandons the cone and instead
+// re-evaluates the whole old tree under the new weights and corrects it:
+// two O(N+M) passes plus a radix-heap correction of the nodes that
+// improve, under half a full Dijkstra on a constellation tick.
 const RepairFallbackFraction = 0.2
 
 // RepairSSSP repairs sp — a single-source result computed on a graph that
@@ -28,10 +30,13 @@ const RepairFallbackFraction = 0.2
 // tree support broke is unsettled and re-settled from a priority queue
 // seeded with its boundary and the endpoints of improved edges, so a small
 // diff costs O(affected nodes + their edges) instead of a full O(N+M) run
-// (both on the radix heap, see radixHeap). The repaired result is
-// bit-identical — distances and predecessors — to a fresh run on g,
-// because both sides resolve equal-distance ties with the canonical rule
-// of runHeap.
+// (both on the radix heap, see radixHeap). A cone larger than
+// RepairFallbackFraction of the graph falls back to re-evaluating the old
+// tree: one sweep over all nodes in old-tree order, parents first, then a
+// radix-heap correction of the nodes whose labels the sweep left too high
+// (see reevaluate). Either way the result is bit-identical — distances and
+// predecessors — to a fresh run on g, because every path resolves
+// equal-distance ties with the canonical rule of runHeap.
 //
 // sp's Dist/Prev arrays are rewritten in place and must be exclusively
 // owned by the caller; transit must be the same predicate the original run
@@ -39,10 +44,10 @@ const RepairFallbackFraction = 0.2
 // (extra entries whose two sides are equal are ignored; listing an edge as
 // removed and re-added is allowed and merely widens the cone). The
 // returned repaired flag reports whether the incremental fast path was
-// taken; it is false when the repair fell back to a full recompute — cone
-// larger than RepairFallbackFraction of the graph, a zero-weight edge
-// present (see runHeap), or a result sized for a different node count.
-// Either way the resulting sp is exact.
+// taken; it is false when the repair fell back — to the re-evaluation for
+// a cone larger than RepairFallbackFraction of the graph, or to a full
+// recompute when a zero-weight edge is present (see runHeap) or sp is
+// sized for a different node count. Either way the resulting sp is exact.
 func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(node int) bool, ws *Workspace) (repaired bool, err error) {
 	if sp == nil || sp.Source < 0 || sp.Source >= g.n {
 		src := -1
@@ -60,16 +65,13 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 		ws = new(Workspace)
 	}
 	ws.size(g.n)
-	full := func() (bool, error) {
+	if g.zeroW || len(sp.Dist) != g.n || len(sp.Prev) != g.n {
 		nsp, err := g.dijkstra(sp.Source, transit, sp.Dist, sp.Prev, &ws.heap)
 		if err != nil {
 			return false, err
 		}
 		*sp = nsp
 		return false, nil
-	}
-	if g.zeroW || len(sp.Dist) != g.n || len(sp.Prev) != g.n {
-		return full()
 	}
 	if len(deltas) == 0 {
 		return true, nil
@@ -101,11 +103,12 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 
 	// Past the fallback threshold — checked on the roots too, since a
 	// handover storm can root more leaf stations than phase 2 would ever
-	// append — re-settling stops being cheaper than recomputing.
+	// append — re-settling the cone stops being cheaper than
+	// re-evaluating the whole old tree.
 	limit := int(RepairFallbackFraction * float64(g.n))
 	if len(queue) > limit {
-		ws.queue = queue
-		return full()
+		g.reevaluate(sp, transit, ws)
+		return false, nil
 	}
 
 	// Phase 2: grow the cone to all old-tree descendants of the roots.
@@ -121,8 +124,8 @@ func (g *Graph) RepairSSSP(sp *ShortestPaths, deltas []EdgeDelta, transit func(n
 				stamp[v] = cone
 				queue = append(queue, int32(v))
 				if len(queue) > limit {
-					ws.queue = queue
-					return full()
+					g.reevaluate(sp, transit, ws)
+					return false, nil
 				}
 			}
 		}
