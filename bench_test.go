@@ -11,6 +11,7 @@ package celestial_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,14 +169,16 @@ func BenchmarkConstellationUpdateStarlinkP1(b *testing.B) {
 }
 
 // BenchmarkConstellationUpdateStarlinkP1Sequential is the single-threaded,
-// allocate-per-tick baseline of BenchmarkConstellationUpdateStarlinkP1.
+// allocate-per-tick baseline of BenchmarkConstellationUpdateStarlinkP1: a
+// fresh Snapshot per tick with GOMAXPROCS pinned to 1 for the run.
 func BenchmarkConstellationUpdateStarlinkP1Sequential(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cons := starlinkP1Constellation(b)
 	gst := cons.NodeCount() - 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := cons.SnapshotSequential(float64(i))
+		st, err := cons.Snapshot(float64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,11 +225,14 @@ func starlinkP1With100GSTs(b *testing.B) *constellation.Constellation {
 // at a 1 s step, the scale target of the diff engine.
 //
 // steady-diff is the delta pipeline: pooled double-buffered snapshots with
-// the spatial visibility index, per-tick diffs and path-cache carry-over
-// on sub-quantum ticks. from-scratch is the pre-delta pipeline: a freshly
-// allocated snapshot per tick with the brute-force O(G×S) visibility scan
-// and a full Dijkstra recompute. Both run the identical scenario and
-// produce identical states.
+// an incrementally updated spatial visibility index, per-tick diffs and
+// path-cache carry-over on sub-quantum ticks. from-scratch is a freshly
+// allocated snapshot per tick: a cold visibility index built from scratch,
+// a graph rebuilt from the link list and a full Dijkstra recompute. Both
+// run the identical scenario and produce identical states. (The
+// brute-force O(G×S) visibility scan the index replaces is timed against
+// it in internal/topo's BenchmarkVisibilityBrute100Stations and
+// BenchmarkVisibilityIndexed100Stations.)
 func BenchmarkTickUpdate(b *testing.B) {
 	b.Run("steady-diff", func(b *testing.B) {
 		cons := starlinkP1With100GSTs(b)
@@ -263,7 +269,6 @@ func BenchmarkTickUpdate(b *testing.B) {
 	})
 	b.Run("from-scratch", func(b *testing.B) {
 		cons := starlinkP1With100GSTs(b)
-		cons.SetBruteVisibility(true)
 		gst := cons.NodeCount() - 1
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -13,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"celestial"
 	"celestial/internal/constellation"
@@ -23,46 +25,86 @@ import (
 	"celestial/internal/viz"
 )
 
-func main() {
-	preset := flag.String("preset", "", `preset constellation: "starlink" or "iridium"`)
-	configPath := flag.String("config", "", "TOML configuration to render")
-	t := flag.Float64("t", 0, "snapshot time in seconds after the epoch")
-	links := flag.Bool("links", false, "draw inter-satellite links")
-	out := flag.String("o", "", "output SVG path (default stdout)")
-	flag.Parse()
-
-	var cfg *celestial.Config
-	switch {
-	case *preset == "starlink":
-		cfg = &celestial.Config{}
+// presets are the built-in constellations -preset selects, by name.
+var presets = map[string]func() *celestial.Config{
+	"starlink": func() *celestial.Config {
+		cfg := &celestial.Config{}
 		for _, s := range celestial.StarlinkPhase1(celestial.ModelSGP4) {
 			cfg.Shells = append(cfg.Shells, celestial.Shell{ShellConfig: s})
 		}
-	case *preset == "iridium":
-		cfg = &celestial.Config{
+		return cfg
+	},
+	"iridium": func() *celestial.Config {
+		return &celestial.Config{
 			Shells: []celestial.Shell{{ShellConfig: celestial.Iridium(celestial.ModelSGP4)}},
 		}
+	},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command with the given arguments and returns its exit
+// status: 2 for a usage error, 1 for a failed render.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("celestial-viz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	preset := fs.String("preset", "", `preset constellation: "starlink" or "iridium"`)
+	configPath := fs.String("config", "", "TOML configuration to render")
+	t := fs.Float64("t", 0, "snapshot time in seconds after the epoch")
+	links := fs.Bool("links", false, "draw inter-satellite links")
+	out := fs.String("o", "", "output SVG path (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "celestial-viz: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "celestial-viz: %v\n", err)
+		return 1
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+
+	mk, ok := presets[*preset]
+	if *preset != "" && !ok {
+		var valid []string
+		for name := range presets {
+			valid = append(valid, name)
+		}
+		sort.Strings(valid)
+		return usage("unknown preset %q (valid: %s)", *preset, strings.Join(valid, " "))
+	}
+	var cfg *celestial.Config
+	switch {
+	case ok && *configPath != "":
+		return usage("-preset and -config are mutually exclusive")
+	case ok:
+		cfg = mk()
 	case *configPath != "":
 		var err error
-		cfg, err = celestial.ParseConfigFile(*configPath)
-		if err != nil {
-			log.Fatalf("celestial-viz: %v", err)
+		if cfg, err = celestial.ParseConfigFile(*configPath); err != nil {
+			return fail(err)
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		return usage("one of -preset or -config is required")
 	}
 	if err := celestial.Finalize(cfg); err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 
 	cons, err := constellation.New(cfg)
 	if err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 	st, err := cons.Snapshot(*t)
 	if err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
 
 	m := viz.NewMap(1440, 720)
@@ -98,11 +140,14 @@ func main() {
 
 	svg := m.SVG()
 	if *out == "" {
-		fmt.Print(svg)
-		return
+		if _, err := io.WriteString(stdout, svg); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
-		log.Fatalf("celestial-viz: %v", err)
+		return fail(err)
 	}
-	log.Printf("wrote %s (%d elements, t=%.0fs)", *out, m.Elements(), *t)
+	fmt.Fprintf(stderr, "wrote %s (%d elements, t=%.0fs)\n", *out, m.Elements(), *t)
+	return 0
 }

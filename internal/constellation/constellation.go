@@ -87,10 +87,6 @@ type Constellation struct {
 	// visCell is the per-shell grid cell size of the spatial visibility
 	// index, sized once from the shell altitude and elevation mask.
 	visCell []float64
-	// bruteVis disables the visibility index (see SetBruteVisibility).
-	bruteVis bool
-	// visRebuild forces full index rebuilds (see SetVisIndexRebuild).
-	visRebuild bool
 }
 
 // New builds a Constellation from a validated configuration.
@@ -188,22 +184,6 @@ func (c *Constellation) GSTNodeByName(name string) (int, error) {
 
 // Shells returns the instantiated shells.
 func (c *Constellation) Shells() []*orbit.Shell { return c.shells }
-
-// SetBruteVisibility disables (on=true) or re-enables the per-shell
-// spatial visibility index, falling back to the exhaustive per-station
-// scan. Snapshots are identical either way (topo.VisIndex guarantees it);
-// the knob exists for differential tests and for benchmarking the index.
-// It must not be toggled concurrently with snapshot computation.
-func (c *Constellation) SetBruteVisibility(on bool) { c.bruteVis = on }
-
-// SetVisIndexRebuild forces (on=true) a full visibility-index rebuild every
-// tick instead of the default incremental update, which re-buckets only the
-// satellites that crossed a grid-cell boundary since the buffer's previous
-// use. Snapshots are identical either way (topo.VisIndex guarantees the
-// incremental index is query-identical to a fresh build); the knob exists
-// for differential tests and benchmarks. It must not be toggled
-// concurrently with snapshot computation.
-func (c *Constellation) SetVisIndexRebuild(on bool) { c.visRebuild = on }
 
 // GroundStations returns the configured ground stations.
 func (c *Constellation) GroundStations() []config.GroundStation { return c.gst }
@@ -337,44 +317,27 @@ const maxSpareResults = 128
 
 // Snapshot computes the constellation state t seconds after the epoch,
 // fanning the orbit propagation, ISL feasibility tests and ground-station
-// visibility scans out across GOMAXPROCS workers. The result is
-// byte-identical to SnapshotSequential — parallelism never changes the
-// computed state, preserving the paper's repeatability property.
+// visibility scans out across GOMAXPROCS workers. It is the cold path of a
+// fresh SnapshotPool: a newly allocated state with a Full diff, a cold
+// visibility index and a graph rebuilt from the link list. The worker
+// count never changes the computed state, preserving the paper's
+// repeatability property.
 func (c *Constellation) Snapshot(t float64) (*State, error) {
-	st, err := c.snapshotInto(new(State), t, runtime.GOMAXPROCS(0), true)
-	if err != nil {
-		return nil, err
-	}
-	st.computeDiffFrom(nil)
-	return st, nil
-}
-
-// SnapshotSequential is the single-threaded reference implementation of
-// Snapshot. It exists for differential testing of the parallel pipeline
-// and as a baseline for benchmarks.
-func (c *Constellation) SnapshotSequential(t float64) (*State, error) {
-	st, err := c.snapshotInto(new(State), t, 1, true)
-	if err != nil {
-		return nil, err
-	}
-	st.computeDiffFrom(nil)
-	return st, nil
+	return c.NewSnapshotPool().Snapshot(t)
 }
 
 // snapshotInto (re)computes the state for offset t into st, reusing any
 // buffers st already holds, with the given worker count. The pipeline has
 // three parallel phases — per-satellite propagation, per-ISL feasibility,
 // per-station visibility — each writing to disjoint pre-sized buffers, and
-// a sequential assembly of links and graph edges in plan order, which keeps
-// the result independent of the worker count.
+// a sequential assembly of links in plan order, which keeps the result
+// independent of the worker count.
 //
-// With buildGraph false the latency graph is left empty and unfrozen: the
-// pooled snapshot path materializes it afterwards — cloning and patching
-// the previous tick's frozen CSR image when the diff allows, or rebuilding
-// from the assembled link list (State.rebuildGraph) otherwise — so the
-// steady-state tick skips the per-edge adjacency build and O(N+M)
-// re-freeze entirely.
-func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGraph bool) (*State, error) {
+// The latency graph is left empty and unfrozen: the pooled snapshot path
+// materializes it afterwards — cloning and patching the previous tick's
+// frozen CSR image when the diff allows, or rebuilding from the assembled
+// link list (State.rebuildGraph) otherwise.
+func (c *Constellation) snapshotInto(st *State, t float64, workers int) (*State, error) {
 	n := c.NodeCount()
 	st.reset(c, t, n)
 
@@ -439,42 +402,30 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 	// spatial index over the satellites' ground-track cells, shared by all
 	// stations, replaces the brute-force O(G×S) elevation scan; each
 	// station only tests satellites whose cell can clear its elevation
-	// mask. The index is incrementally updated by default — only
-	// satellites that crossed a grid-cell boundary since this buffer's
-	// previous generation re-bucket; Update falls back to a full build on
-	// a cold or mismatched index. Query results are identical to the
-	// exhaustive scan either way (see topo.VisIndex), so neither the index
-	// nor its maintenance mode ever changes the computed state.
-	if !c.bruteVis && len(c.gst) > 0 {
+	// mask. The index is updated incrementally — only satellites that
+	// crossed a grid-cell boundary since this buffer's previous generation
+	// re-bucket; Update falls back to a full build on a cold or mismatched
+	// index. Query results are meant to equal the exhaustive scan either
+	// way (see topo.VisIndex); the differential tests check every uplink
+	// against it.
+	if len(c.gst) > 0 {
 		for si, sh := range c.shells {
 			shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
-			if c.visRebuild {
-				st.visIdx[si].Build(shellPos, c.visCell[si], workers)
-			} else {
-				st.visIdx[si].Update(shellPos, c.visCell[si], workers)
-			}
+			st.visIdx[si].Update(shellPos, c.visCell[si], workers)
 		}
 	}
 	par.ForWorkers(len(c.gst), workers, func(glo, ghi int) {
 		for gi := glo; gi < ghi; gi++ {
-			for si, sh := range c.shells {
+			for si := range c.shells {
 				minElev := c.cfg.Shells[si].Network.MinElevationDeg
-				if c.bruteVis {
-					shellPos := st.Positions[c.base[si] : c.base[si]+sh.Size()]
-					st.uplinks[gi][si] = topo.VisibleSatsInto(
-						c.gstPos[gi], shellPos, minElev, st.uplinks[gi][si])
-					continue
-				}
 				st.uplinks[gi][si] = st.visIdx[si].VisibleInto(
 					c.gstPos[gi], minElev, st.uplinks[gi][si])
 			}
 		}
 	})
 
-	// Sequential assembly: links, bandwidths and graph edges in the
-	// fixed plan order, so the snapshot is bit-identical regardless of
-	// worker count. Plan edges were validated when the constellation was
-	// built, so the graph's unchecked insertion path applies. Realized
+	// Sequential assembly: links and bandwidths in the fixed plan order,
+	// so the snapshot is bit-identical regardless of worker count. Realized
 	// link latencies are quantized to the netem emulation granularity:
 	// the emulated network cannot distinguish sub-quantum differences,
 	// and quantizing here makes adjacent ticks' graphs bit-identical
@@ -497,9 +448,6 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 			st.islQ[off+i] = int32(q)
 			st.Links = append(st.Links, l)
 			st.setBandwidth(e.a, e.b, l.BandwidthKbps)
-			if buildGraph {
-				st.g.AddEdgeUnchecked(e.a, e.b, l.LatencyS)
-			}
 		}
 		off += len(edges)
 	}
@@ -528,21 +476,10 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 				st.gslQ = append(st.gslQ, int32(q))
 				st.Links = append(st.Links, l)
 				st.setBandwidth(gid, sid, l.BandwidthKbps)
-				if buildGraph {
-					st.g.AddEdgeUnchecked(gid, sid, l.LatencyS)
-				}
 			}
 			run++
 			st.gslOff[run] = int32(len(st.gslSat))
 		}
-	}
-	// Freeze the CSR image while still single-threaded: every shortest
-	// path on this state — cache fill or repair — scans the flat arrays,
-	// and concurrent queries must never trigger the lazy build. (With
-	// buildGraph false the pool freezes during graph materialization
-	// instead, still before the state is published.)
-	if buildGraph {
-		st.g.Freeze()
 	}
 	return st, nil
 }
@@ -554,11 +491,13 @@ func (c *Constellation) snapshotInto(st *State, t float64, workers int, buildGra
 const graphPatchSlack = 2
 
 // rebuildGraph materializes the snapshot's latency graph from its
-// assembled link list — the same links, weights and insertion order the
-// inline build (snapshotInto with buildGraph=true) produces, so the frozen
-// image is identical. It is the cold-start and fallback path of the pooled
-// snapshot flow; steady-state ticks clone-and-patch the previous image
-// instead.
+// assembled link list, in plan order. Plan edges were validated when the
+// constellation was built, so the graph's unchecked insertion path
+// applies. It is the cold-start and fallback path of the pooled snapshot
+// flow; steady-state ticks clone-and-patch the previous image instead.
+// Either way the image is frozen before the state is published: every
+// shortest path on it — cache fill or repair — scans the flat arrays, and
+// concurrent queries must never trigger the lazy build.
 func (st *State) rebuildGraph() {
 	st.g.Reset(len(st.Positions))
 	for i := range st.Links {
@@ -737,9 +676,6 @@ type SnapshotPool struct {
 	last *State
 	// noRepair disables the incremental path repair (see SetPathRepair).
 	noRepair bool
-	// noGraphPatch disables the frozen-CSR clone-and-patch graph path
-	// (see SetGraphPatch).
-	noGraphPatch bool
 	// overlay, when set, vetoes node activity beyond the bounding box
 	// (see SetActivityOverlay).
 	overlay func(id int) bool
@@ -757,9 +693,9 @@ func (c *Constellation) NewSnapshotPool() *SnapshotPool {
 	return &SnapshotPool{c: c}
 }
 
-// Snapshot computes the state at offset t like Constellation.Snapshot, but
-// into a recycled buffer when one is available, and diffs the result
-// against the pool's previous snapshot (see SnapshotPool). Single-buffered
+// Snapshot computes the state at offset t into a recycled buffer when one
+// is available, and diffs the result against the pool's previous snapshot
+// (see SnapshotPool). Single-buffered
 // use — recycling each state before taking the next — still works but
 // yields Full diffs, since the only possible base is the very buffer being
 // overwritten; keep two states in flight to get deltas and path carry-over.
@@ -782,7 +718,7 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	if p.stageTimer != nil {
 		stageStart = time.Now()
 	}
-	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0), false)
+	out, err := p.c.snapshotInto(st, t, runtime.GOMAXPROCS(0))
 	if err != nil {
 		// The buffers remain reusable even when the computation
 		// failed halfway through.
@@ -808,10 +744,10 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 	// holding a lease on it are unaffected — and patches this tick's
 	// merged link deltas into it in place, skipping the per-edge rebuild
 	// and O(N+M) re-freeze. The deltas are computed once and shared with
-	// the path repair below. Cold starts, Full diffs, the SetGraphPatch
-	// knob and any patch mismatch (impossible for diff-produced deltas)
-	// fall back to rebuilding from the assembled link list; either way the
-	// frozen image is identical (PatchFrozen's row order may differ, which
+	// the path repair below. Cold starts, Full diffs and any patch
+	// mismatch (impossible for diff-produced deltas) fall back to
+	// rebuilding from the assembled link list; either way the frozen image
+	// is identical (PatchFrozen's row order may differ, which
 	// the canonical Dijkstra tie-break makes unobservable).
 	var deltas []graph.EdgeDelta
 	if prev != nil && !out.diff.Full && !out.diff.LinksUnchanged() {
@@ -819,7 +755,7 @@ func (p *SnapshotPool) Snapshot(t float64) (*State, error) {
 		deltas = p.deltaScratch
 	}
 	patched := false
-	if prev != nil && !out.diff.Full && !p.noGraphPatch {
+	if prev != nil && !out.diff.Full {
 		if err := out.g.CopyFrozenFrom(prev.g); err == nil {
 			if err := out.g.PatchFrozen(deltas); err == nil {
 				patched = true
@@ -875,19 +811,10 @@ func (p *SnapshotPool) SetActivityOverlay(fn func(id int) bool) { p.overlay = fn
 // of carried shortest-path entries on non-empty diffs, forcing every
 // structural tick back to on-demand full Dijkstra recomputes. Repaired
 // results are bit-identical to recomputed ones (locked in by the repair
-// differential tests); the knob exists for differential testing and for
-// benchmarking the repair. It must not be toggled concurrently with
-// Snapshot.
+// differential tests); the coordinator's tick watchdog turns it off for a
+// tick to shed the repair cost under overload. It must not be toggled
+// concurrently with Snapshot.
 func (p *SnapshotPool) SetPathRepair(on bool) { p.noRepair = !on }
-
-// SetGraphPatch disables (on=false) or re-enables the steady-state graph
-// materialization that clones the previous tick's frozen CSR image and
-// patches this tick's link deltas into it in place, forcing every tick
-// back to a full rebuild from the link list. Patched and rebuilt graphs
-// yield bit-identical shortest paths (locked in by the patch differential
-// tests); the knob exists for differential testing and benchmarks. It must
-// not be toggled concurrently with Snapshot.
-func (p *SnapshotPool) SetGraphPatch(on bool) { p.noGraphPatch = !on }
 
 // SetStageTimer installs a callback that receives the wall-clock duration
 // of each pooled-snapshot stage, keyed "snapshot" (propagation and state

@@ -26,10 +26,10 @@ type Diff struct {
 	// T is the snapshot's offset; BaseT the compared-against snapshot's
 	// offset (NaN when Full).
 	T, BaseT float64
-	// Full marks a diff with no usable base: the first snapshot, a
-	// non-pooled snapshot, or a pool used single-buffered (the only
-	// previous state was the buffer being overwritten). Consumers must
-	// treat every link and node as changed.
+	// Full marks a diff with no usable base: the first snapshot of a pool
+	// (including every Constellation.Snapshot), or a pool used
+	// single-buffered (the only previous state was the buffer being
+	// overwritten). Consumers must treat every link and node as changed.
 	Full bool
 	// Added and Removed are links that appeared or disappeared. A
 	// station/shell whose realized uplink sequence changed is shipped
@@ -187,7 +187,8 @@ func (d *Diff) Stats() DiffStats {
 }
 
 // Diff returns how this snapshot differs from the previous pooled snapshot
-// (a Full diff for non-pooled snapshots). The returned value is owned by
+// (a Full diff for a pool's first snapshot, so for every
+// Constellation.Snapshot). The returned value is owned by
 // the State and valid until it is recycled.
 func (st *State) Diff() *Diff { return &st.diff }
 

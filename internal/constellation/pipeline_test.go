@@ -3,6 +3,7 @@ package constellation
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func assertStatesIdentical(t *testing.T, want, got *State) {
 func TestParallelSnapshotMatchesSequential(t *testing.T) {
 	c := mustNew(t, testConfig(t, orbit.ModelKepler))
 	for _, offset := range []float64{0, 42, 3600} {
-		seq, err := c.SnapshotSequential(offset)
+		seq, err := snapshotSequential(c, offset)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestParallelSnapshotMatchesSequentialSGP4MultiShell(t *testing.T) {
 		t.Skip("full Starlink phase 1 under SGP4 is slow")
 	}
 	c := mustNew(t, starlinkP1Config(t, orbit.ModelKepler))
-	seq, err := c.SnapshotSequential(17)
+	seq, err := snapshotSequential(c, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +273,13 @@ func BenchmarkSnapshotStarlinkPhase1(b *testing.B) {
 	})
 }
 
+// BenchmarkSnapshotStarlinkPhase1Sequential is the single-threaded
+// baseline of BenchmarkSnapshotStarlinkPhase1: the same Snapshot with
+// GOMAXPROCS pinned to 1 for the run.
 func BenchmarkSnapshotStarlinkPhase1Sequential(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	benchSnapshot(b, starlinkP1Config(b, orbit.ModelKepler), func(c *Constellation) func(float64) (*State, error) {
-		return c.SnapshotSequential
+		return c.Snapshot
 	})
 }
 

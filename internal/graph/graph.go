@@ -6,10 +6,9 @@
 // single-source results under edge diffs (RepairSSSP: a small affected
 // cone is re-settled alone, a larger one re-evaluates the old tree under
 // the new weights in O(N+M) passes plus a radix-heap correction of the
-// nodes that improve), and the Floyd-Warshall all-pairs algorithm. The
-// paper uses efficient implementations of these to compute shortest
-// network paths within the constellation and their end-to-end latency
-// (§3.1).
+// nodes that improve). The paper uses efficient implementations of these
+// to compute shortest network paths within the constellation and their
+// end-to-end latency (§3.1).
 package graph
 
 import (
@@ -475,30 +474,23 @@ func (ws *Workspace) prepareRepair() (coneEpoch, seedEpoch int32) {
 	return ws.epoch - 1, ws.epoch
 }
 
-// Dijkstra computes single-source shortest paths from src. Its queue is a
-// monotone radix heap (see radixHeap) in which a node moves at most 64
-// times, and exactly tied distances pop in node order at O(log k) per pop
-// for k ties, so a run costs O(N+M) plus O(log k) per tied pop.
-func (g *Graph) Dijkstra(src int) (ShortestPaths, error) {
-	return g.DijkstraTransit(src, nil)
-}
-
-// DijkstraTransit computes single-source shortest paths like Dijkstra, but
-// only expands intermediate nodes for which transit returns true (the
-// source is always expanded). Nodes failing the predicate can terminate a
-// path but not forward traffic — e.g. ground stations, which are endpoints
-// of the satellite network rather than routers. A nil predicate allows all
-// nodes.
-func (g *Graph) DijkstraTransit(src int, transit func(node int) bool) (ShortestPaths, error) {
-	return g.dijkstra(src, transit, nil, nil, nil)
-}
-
-// DijkstraTransitInto is DijkstraTransit writing into caller-owned result
-// buffers: dist and prev back the returned ShortestPaths when they have
-// sufficient capacity and are reallocated otherwise; either way the caller
-// owns the result. A non-nil ws lends only its scratch. This is the
-// entry point of the snapshot path cache, which recycles result arrays
-// from the previous tick.
+// DijkstraTransitInto computes single-source shortest paths from src,
+// writing into caller-owned result buffers: dist and prev back the
+// returned ShortestPaths when they have sufficient capacity and are
+// reallocated otherwise; either way the caller owns the result. A non-nil
+// ws lends only its scratch. This is the entry point of the snapshot path
+// cache, which recycles result arrays from the previous tick.
+//
+// Only intermediate nodes for which transit returns true are expanded
+// (the source always is). Nodes failing the predicate can terminate a
+// path but not forward traffic — e.g. ground stations, which are
+// endpoints of the satellite network rather than routers. A nil predicate
+// allows all nodes.
+//
+// The queue is a monotone radix heap (see radixHeap) in which a node moves
+// at most 64 times, and exactly tied distances pop in node order at
+// O(log k) per pop for k ties, so a run costs O(N+M) plus O(log k) per
+// tied pop.
 func (g *Graph) DijkstraTransitInto(src int, transit func(node int) bool, dist []float64, prev []int, ws *Workspace) (ShortestPaths, error) {
 	var h *radixHeap
 	if ws != nil {
@@ -599,82 +591,6 @@ func (sp ShortestPaths) PathTo(dst int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// AllPairs is the result of a Floyd-Warshall run: a dense N×N distance
-// matrix with next-hop information for path reconstruction.
-type AllPairs struct {
-	n    int
-	dist []float64
-	next []int32
-}
-
-// FloydWarshall computes all-pairs shortest paths in O(N^3) time and
-// O(N^2) space. It is preferable over N Dijkstra runs for dense queries on
-// small to medium graphs (such as a single constellation shell subset).
-func (g *Graph) FloydWarshall() *AllPairs {
-	n := g.n
-	ap := &AllPairs{
-		n:    n,
-		dist: make([]float64, n*n),
-		next: make([]int32, n*n),
-	}
-	for i := range ap.dist {
-		ap.dist[i] = Inf
-		ap.next[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		ap.dist[i*n+i] = 0
-		ap.next[i*n+i] = int32(i)
-	}
-	for u, edges := range g.adj {
-		for _, e := range edges {
-			if e.Weight < ap.dist[u*n+e.To] {
-				ap.dist[u*n+e.To] = e.Weight
-				ap.next[u*n+e.To] = int32(e.To)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		rowK := ap.dist[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			dik := ap.dist[i*n+k]
-			if math.IsInf(dik, 1) {
-				continue
-			}
-			rowI := ap.dist[i*n : (i+1)*n]
-			nextI := ap.next[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				if nd := dik + rowK[j]; nd < rowI[j] {
-					rowI[j] = nd
-					nextI[j] = ap.next[i*n+k]
-				}
-			}
-		}
-	}
-	return ap
-}
-
-// Dist returns the shortest distance between a and b, Inf if unreachable.
-func (ap *AllPairs) Dist(a, b int) float64 {
-	if a < 0 || a >= ap.n || b < 0 || b >= ap.n {
-		return Inf
-	}
-	return ap.dist[a*ap.n+b]
-}
-
-// Path reconstructs a shortest path between a and b, inclusive. It returns
-// nil if b is unreachable from a.
-func (ap *AllPairs) Path(a, b int) []int {
-	if a < 0 || a >= ap.n || b < 0 || b >= ap.n || ap.next[a*ap.n+b] == -1 {
-		return nil
-	}
-	path := []int{a}
-	for a != b {
-		a = int(ap.next[a*ap.n+b])
-		path = append(path, a)
-	}
-	return path
 }
 
 // Connected reports whether every node is reachable from node 0. An empty

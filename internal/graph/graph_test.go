@@ -124,7 +124,7 @@ func TestFloydWarshallMatchesDijkstra(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ap := g.FloydWarshall()
+		ap := floydWarshall(g)
 		for src := 0; src < n; src++ {
 			sp, err := g.Dijkstra(src)
 			if err != nil {
@@ -160,7 +160,7 @@ func TestFloydWarshallPathValid(t *testing.T) {
 			weights[key] = w
 		}
 	}
-	ap := g.FloydWarshall()
+	ap := floydWarshall(g)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			path := ap.Path(a, b)
@@ -202,7 +202,7 @@ func TestTriangleInequalityProperty(t *testing.T) {
 				_ = g.AddEdge(a, b, float64(1+r.Intn(20)))
 			}
 		}
-		ap := g.FloydWarshall()
+		ap := floydWarshall(g)
 		a, b, c := rng.Intn(n), rng.Intn(n), rng.Intn(n)
 		ab, bc, ac := ap.Dist(a, b), ap.Dist(b, c), ap.Dist(a, c)
 		if math.IsInf(ab, 1) || math.IsInf(bc, 1) {
@@ -225,7 +225,7 @@ func TestSymmetryProperty(t *testing.T) {
 			_ = g.AddEdge(a, b, rng.Float64()*10)
 		}
 	}
-	ap := g.FloydWarshall()
+	ap := floydWarshall(g)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if d1, d2 := ap.Dist(a, b), ap.Dist(b, a); d1 != d2 {
@@ -270,7 +270,7 @@ func TestParallelEdgesUseCheapest(t *testing.T) {
 	if sp.Dist[1] != 3 {
 		t.Errorf("dist = %v, want 3", sp.Dist[1])
 	}
-	if ap := g.FloydWarshall(); ap.Dist(0, 1) != 3 {
+	if ap := floydWarshall(g); ap.Dist(0, 1) != 3 {
 		t.Errorf("floyd dist = %v, want 3", ap.Dist(0, 1))
 	}
 }
@@ -346,7 +346,7 @@ func BenchmarkFloydWarshall256(b *testing.B) {
 	g := torus(b, 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.FloydWarshall()
+		floydWarshall(g)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // benchServer builds a started coordinator (Starlink shell 1 scale, two
 // stations, long duration so the tick loop never stops mid-benchmark) and
 // an API server over it.
-func benchServer(b *testing.B, caching bool) (*Server, *coordinator.Coordinator) {
+func benchServer(b *testing.B) (*Server, *coordinator.Coordinator) {
 	b.Helper()
 	cfg := &config.Config{
 		Duration:   time.Hour,
@@ -43,9 +43,7 @@ func benchServer(b *testing.B, caching bool) (*Server, *coordinator.Coordinator)
 	if err := c.Start(); err != nil {
 		b.Fatal(err)
 	}
-	s := New(c)
-	s.SetCaching(caching)
-	return s, c
+	return New(c), c
 }
 
 // nopResponseWriter discards the response so the benchmark measures the
@@ -99,16 +97,15 @@ func BenchmarkAPI(b *testing.B) {
 		"/path/accra/100.0",
 	}
 	b.Run("info-cached", func(b *testing.B) {
-		s, _ := benchServer(b, true)
+		s, _ := benchServer(b)
 		hammer(b, s, "/info")
 	})
 	b.Run("info-speedup", func(b *testing.B) {
 		// The req/s ratio the response cache buys on /info, measured
 		// over a fixed iteration count so the metric is meaningful even
 		// under the CI's -benchtime 1x protocol.
-		s, c := benchServer(b, true)
-		uncached := New(c)
-		uncached.SetCaching(false)
+		s, c := benchServer(b)
+		uncached := newUncachedServer(c)
 		serveOnce(s, "/info")
 		const iters = 20000
 		measure := func(srv *Server) time.Duration {
@@ -129,23 +126,23 @@ func BenchmarkAPI(b *testing.B) {
 		b.ReportMetric(float64(cold)/float64(warm), "speedup-x")
 	})
 	b.Run("info-uncached", func(b *testing.B) {
-		s, _ := benchServer(b, false)
-		hammer(b, s, "/info")
+		_, c := benchServer(b)
+		hammer(b, newUncachedServer(c), "/info")
 	})
 	b.Run("path-cached", func(b *testing.B) {
-		s, _ := benchServer(b, true)
+		s, _ := benchServer(b)
 		hammer(b, s, pathEndpoints...)
 	})
 	b.Run("path-uncached", func(b *testing.B) {
-		s, _ := benchServer(b, false)
-		hammer(b, s, pathEndpoints...)
+		_, c := benchServer(b)
+		hammer(b, newUncachedServer(c), pathEndpoints...)
 	})
 	b.Run("diff-replay", func(b *testing.B) {
 		// Pins the shared-frame economy on /diff: replaying the retained
 		// window re-serves prebuilt per-generation frames, so allocs/op
 		// must not scale back up to per-request re-serialization of every
 		// diff document (the regression the frame cache removed).
-		s, c := benchServer(b, true)
+		s, c := benchServer(b)
 		for i := 0; i < 8; i++ {
 			if err := c.Run(time.Second); err != nil {
 				b.Fatal(err)
@@ -163,7 +160,7 @@ func BenchmarkAPI(b *testing.B) {
 		// added a random number of whole ticks to it, which under
 		// -benchtime 1x swung allocs/op to twice its baseline.
 		const requestsPerTick = 64
-		s, c := benchServer(b, true)
+		s, c := benchServer(b)
 		endpoints := append([]string{"/info", "/gst/accra", "/diff?since=0"}, pathEndpoints...)
 		reqs := make([]*http.Request, len(endpoints))
 		for i, ep := range endpoints {

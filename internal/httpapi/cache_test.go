@@ -6,9 +6,31 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"celestial/internal/coordinator"
 )
+
+// uncachedSource wraps a Source so that its cache versions change on every
+// call: every request through RegisterRoutes misses the version-keyed
+// response caches and runs the full build-and-encode path. It is the
+// uncached reference of the cache differential and benchmarks. (The /shell
+// documents are keyed by configuration, not by a version, and /diff embeds
+// the versions in its body, so neither is compared through it.)
+type uncachedSource struct {
+	Source
+	ver atomic.Uint64
+}
+
+func (u *uncachedSource) Generation() uint64      { return u.ver.Add(1) }
+func (u *uncachedSource) TopologyVersion() uint64 { return u.ver.Add(1) }
+
+// newUncachedServer mounts the route table over an uncachedSource of c.
+func newUncachedServer(c *coordinator.Coordinator) *Server {
+	return RegisterRoutes(http.NewServeMux(), &uncachedSource{Source: NewCoordinatorSource(c)})
+}
 
 // body performs a GET and returns the response body bytes.
 func body(t *testing.T, s *Server, path string, wantStatus int) []byte {
@@ -22,11 +44,10 @@ func body(t *testing.T, s *Server, path string, wantStatus int) []byte {
 	return rec.Body.Bytes()
 }
 
-// differentialEndpoints are the cacheable endpoints the byte-equality
+// differentialEndpoints are the version-keyed endpoints the byte-equality
 // differential runs over.
 var differentialEndpoints = []string{
 	"/info",
-	"/shell/0",
 	"/shell/0/100",
 	"/shell/0/0",
 	"/gst/accra",
@@ -34,32 +55,43 @@ var differentialEndpoints = []string{
 	"/path/accra/johannesburg",
 	"/path/0.0/5.0",
 	"/path/100.0/accra",
-	"/diff?since=0",
 }
+
+// unversionedEndpoints are the endpoints an uncachedSource cannot force
+// past their caches: /shell documents are keyed by configuration and /diff
+// replays the frame log.
+var unversionedEndpoints = []string{"/shell/0", "/diff?since=0"}
 
 // TestCachedResponsesByteIdentical is the differential test for the cache
 // rebuild: for every endpoint, the cached server's response — on a cold
 // cache and again on a warm one — must be byte-for-byte identical to the
 // uncached encoder's output for the same snapshot, across topology
-// changes.
+// changes. The unversioned endpoints are compared against a fresh server
+// per check instead: a cold shell cache and an independently built frame
+// log.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	cached, c := testServer(t)
-	uncached := New(c)
-	uncached.SetCaching(false)
+	uncached := newUncachedServer(c)
 
 	check := func(tag string) {
 		t.Helper()
-		for _, ep := range differentialEndpoints {
-			ref := body(t, uncached, ep, http.StatusOK)
-			cold := body(t, cached, ep, http.StatusOK)
-			warm := body(t, cached, ep, http.StatusOK)
-			if !bytes.Equal(ref, cold) {
-				t.Errorf("%s: GET %s cold cache differs from uncached encoder:\n  uncached: %s\n  cached:   %s",
-					tag, ep, ref, cold)
-			}
-			if !bytes.Equal(cold, warm) {
-				t.Errorf("%s: GET %s warm cache differs from its own cold fill:\n  cold: %s\n  warm: %s",
-					tag, ep, cold, warm)
+		fresh := New(c)
+		for _, set := range []struct {
+			ref *Server
+			eps []string
+		}{{uncached, differentialEndpoints}, {fresh, unversionedEndpoints}} {
+			for _, ep := range set.eps {
+				ref := body(t, set.ref, ep, http.StatusOK)
+				cold := body(t, cached, ep, http.StatusOK)
+				warm := body(t, cached, ep, http.StatusOK)
+				if !bytes.Equal(ref, cold) {
+					t.Errorf("%s: GET %s cold cache differs from the reference:\n  reference: %s\n  cached:    %s",
+						tag, ep, ref, cold)
+				}
+				if !bytes.Equal(cold, warm) {
+					t.Errorf("%s: GET %s warm cache differs from its own cold fill:\n  cold: %s\n  warm: %s",
+						tag, ep, cold, warm)
+				}
 			}
 		}
 	}

@@ -217,15 +217,17 @@ func RateLimit(rate float64, burst int) Middleware {
 // ParseRate parses the "-http-rate" flag syntax: "<rps>" or
 // "<rps>:<burst>", e.g. "100" or "100:250". An omitted burst defaults to
 // the ceiling of the rate (one second of traffic); an empty string means
-// disabled (rate 0).
+// disabled (rate 0). The rate must be a finite number in [0, MaxInt32]:
+// a NaN rate would make every token count NaN, and NaN tokens always
+// admit, silently disabling the limiter.
 func ParseRate(s string) (rate float64, burst int, err error) {
 	if s == "" {
 		return 0, 0, nil
 	}
 	rateStr, burstStr, hasBurst := strings.Cut(s, ":")
 	rate, err = strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate < 0 {
-		return 0, 0, fmt.Errorf("bad rate %q (want \"<rps>\" or \"<rps>:<burst>\")", s)
+	if err != nil || math.IsNaN(rate) || rate < 0 || math.Ceil(rate) > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("bad rate %q (want \"<rps>\" or \"<rps>:<burst>\" with 0 <= rps <= %d)", s, math.MaxInt32)
 	}
 	if hasBurst {
 		burst, err = strconv.Atoi(burstStr)

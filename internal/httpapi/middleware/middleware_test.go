@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -112,6 +113,63 @@ func TestRateLimitZeroDisables(t *testing.T) {
 			t.Fatalf("disabled limiter rejected request %d: %d", i, rec.Code)
 		}
 	}
+}
+
+func TestParseRate(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		rate  float64
+		burst int
+		ok    bool
+	}{
+		{"", 0, 0, true},
+		{"100", 100, 100, true},
+		{"100:250", 100, 250, true},
+		{"0.5", 0.5, 1, true},
+		{"0", 0, 0, true},
+		{"2147483647", math.MaxInt32, math.MaxInt32, true},
+		{"2147483647.5", 0, 0, false},
+		{"NaN", 0, 0, false},
+		{"nan:3", 0, 0, false},
+		{"inf", 0, 0, false},
+		{"-Inf:2", 0, 0, false},
+		{"1e300", 0, 0, false},
+		{"3e9:5", 0, 0, false},
+		{"-1", 0, 0, false},
+		{"abc", 0, 0, false},
+		{"10:0", 0, 0, false},
+		{"10:x", 0, 0, false},
+	} {
+		rate, burst, err := ParseRate(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseRate(%q) error = %v, want ok=%v", tc.spec, err, tc.ok)
+			continue
+		}
+		if tc.ok && (rate != tc.rate || burst != tc.burst) {
+			t.Errorf("ParseRate(%q) = %v, %d, want %v, %d", tc.spec, rate, burst, tc.rate, tc.burst)
+		}
+	}
+}
+
+// FuzzParseRate requires ParseRate never to panic and every accepted spec
+// to configure a working limiter: a finite, non-negative rate, and a burst
+// of at least one whenever the limiter is on or a burst was given.
+func FuzzParseRate(f *testing.F) {
+	for _, seed := range []string{"", "100", "100:250", "0.5", "NaN", "nan:3", "inf", "1e300", "-0", "1:-1", ":"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rate, burst, err := ParseRate(spec)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
+			t.Fatalf("ParseRate(%q) accepted rate %v", spec, rate)
+		}
+		if (rate > 0 || strings.Contains(spec, ":")) && burst < 1 {
+			t.Fatalf("ParseRate(%q) = %v, burst %d", spec, rate, burst)
+		}
+	})
 }
 
 func TestRateLimitHarvestsIdleBuckets(t *testing.T) {
